@@ -302,19 +302,27 @@ void bench_load2x(hostperf::BenchReport& report, bool quick) {
   server.start();
   const std::uint16_t port = server.port();
 
-  // Measure the sustainable rate from a warm serial request (force=true so
-  // every load request below reruns instead of hitting this cache row).
+  // Measure the sustainable rate from warm serial requests. force=true
+  // reruns the job instead of answering from the cache, exactly as every
+  // load request below does, and the fastest of three probes is the latency
+  // so a probe slowed by host noise cannot lower the offered load below 2x.
   SimBody probe;
   probe.seed = 500;
   probe.ranks = 4;
   probe.particles = 2000;
   probe.steps = 2;
   (void)roundtrip(port, post_simulate(probe.str()));  // warm-up
-  hostperf::WallTimer probe_timer;
   probe.force = true;
-  const Reply pr = roundtrip(port, post_simulate(probe.str()));
-  const double latency = probe_timer.seconds();
-  check(pr.status == 200, "load2x: probe request answered 200");
+  double latency = 0.0;
+  bool probes_ok = true;
+  for (int i = 0; i < 3; ++i) {
+    hostperf::WallTimer probe_timer;
+    const Reply pr = roundtrip(port, post_simulate(probe.str()));
+    const double t = probe_timer.seconds();
+    probes_ok = probes_ok && pr.status == 200;
+    latency = i == 0 ? t : std::min(latency, t);
+  }
+  check(probes_ok, "load2x: probe requests answered 200");
   const double sustainable = static_cast<double>(so.workers) / latency;
 
   LoadOptions lo;
@@ -328,12 +336,16 @@ void bench_load2x(hostperf::BenchReport& report, bool quick) {
   lo.p_drop = 0.05;
   lo.stall_seconds = 0.6;
   lo.client_timeout_seconds = 60.0;
+  // Every arrival is a fresh job (force=true): answered from the cache or
+  // coalesced, the 16 configs cost the server almost nothing after their
+  // first run, and the "2x" load then often never fills the queue.
   lo.body = [](std::uint64_t i) {
     SimBody b;
     b.seed = i % 16 + 1;
     b.ranks = 4;
     b.particles = 2000;
     b.steps = 2;
+    b.force = true;
     return b.str();
   };
   std::printf("load2x: sustainable ~%.0f rps (probe %.1f ms), driving %.0f "

@@ -1,7 +1,9 @@
 #include "commcheck/report.hpp"
 
 #include <algorithm>
-#include <cstdio>
+#include <utility>
+
+#include "common/json.hpp"
 
 namespace bladed::commcheck {
 
@@ -41,46 +43,20 @@ std::string Verdict::to_string() const {
   return out;
 }
 
-namespace {
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size() + 8);
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-}  // namespace
-
 std::string Verdict::to_json() const {
-  std::string out = "{\"clean\":";
-  out += findings_.empty() ? "true" : "false";
-  out += ",\"findings\":[";
-  for (std::size_t i = 0; i < findings_.size(); ++i) {
-    const Finding& f = findings_[i];
-    if (i) out += ',';
-    out += "{\"code\":\"" + json_escape(f.code) + "\",\"ranks\":[";
-    for (std::size_t j = 0; j < f.ranks.size(); ++j) {
-      if (j) out += ',';
-      out += std::to_string(f.ranks[j]);
-    }
-    out += "],\"message\":\"" + json_escape(f.message) + "\"}";
+  Json findings = Json::array();
+  for (const Finding& f : findings_) {
+    Json ranks = Json::array();
+    for (const int r : f.ranks) ranks.push(r);
+    Json j = Json::object();
+    j.set("code", f.code)
+        .set("ranks", std::move(ranks))
+        .set("message", f.message);
+    findings.push(std::move(j));
   }
-  out += "]}";
-  return out;
+  Json doc = Json::object();
+  doc.set("clean", findings_.empty()).set("findings", std::move(findings));
+  return doc.dump();
 }
 
 }  // namespace bladed::commcheck

@@ -1,10 +1,10 @@
-#include "serve/json.hpp"
+#include "common/json.hpp"
 
 #include <cmath>
 #include <cstdio>
 #include <cstring>
 
-namespace bladed::serve {
+namespace bladed {
 
 namespace {
 
@@ -320,6 +320,14 @@ void Json::dump_to(std::string& out) const {
       out += bool_ ? "true" : "false";
       break;
     case Kind::kNumber: {
+      if (exact_ == Exact::kSigned) {
+        out += std::to_string(static_cast<std::int64_t>(bits_));
+        break;
+      }
+      if (exact_ == Exact::kUnsigned) {
+        out += std::to_string(bits_);
+        break;
+      }
       char buf[32];
       const double r = std::round(num_);
       if (r == num_ && std::fabs(num_) < 9.007199254740992e15) {
@@ -370,4 +378,4 @@ Json Json::parse(std::string_view text, int max_depth) {
   return Parser(text, max_depth).run();
 }
 
-}  // namespace bladed::serve
+}  // namespace bladed

@@ -4,39 +4,9 @@
 #include <cstdlib>
 #include <utility>
 
+#include "common/json.hpp"
+
 namespace bladed::hostperf {
-
-namespace {
-/// Bench and result names are identifiers chosen in this repo, but escape
-/// the JSON-special characters anyway so the output is always well-formed.
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
-void append_number(std::string& out, double v) {
-  char buf[40];
-  std::snprintf(buf, sizeof buf, "%.17g", v);
-  out += buf;
-}
-}  // namespace
 
 BenchReport BenchReport::from_env(std::string bench_name, int host_threads) {
   const char* path = std::getenv("BLADED_BENCH_JSON");
@@ -59,35 +29,29 @@ void BenchReport::add(BenchResult r) {
 
 void BenchReport::write() {
   if (!active() || written_ || results_.empty()) return;
-  std::string doc = "{\"schema\":\"bladed-bench-v1\",\"bench\":\"";
-  doc += json_escape(bench_);
-  doc += "\",\"host_threads\":";
-  doc += std::to_string(host_threads_);
-  doc += ",\"results\":[";
-  bool first = true;
+  Json rows = Json::array();
   for (const BenchResult& r : results_) {
-    if (!first) doc += ',';
-    first = false;
-    doc += "{\"name\":\"";
-    doc += json_escape(r.name);
-    doc += "\",\"wall_seconds\":";
-    append_number(doc, r.wall_seconds);
-    doc += ",\"virtual_seconds\":";
-    append_number(doc, r.virtual_seconds);
-    doc += ",\"ops\":";
-    append_number(doc, r.ops);
-    doc += ",\"cycles\":";
-    append_number(doc, r.cycles);
-    doc += '}';
+    Json row = Json::object();
+    row.set("name", r.name)
+        .set("wall_seconds", r.wall_seconds)
+        .set("virtual_seconds", r.virtual_seconds)
+        .set("ops", r.ops)
+        .set("cycles", r.cycles);
+    rows.push(std::move(row));
   }
-  doc += "]}\n";
+  Json doc = Json::object();
+  doc.set("schema", "bladed-bench-v1")
+      .set("bench", bench_)
+      .set("host_threads", host_threads_)
+      .set("results", std::move(rows));
+  const std::string line = doc.dump() + "\n";
   std::FILE* f = std::fopen(path_.c_str(), "a");
   if (f == nullptr) {
     std::fprintf(stderr, "benchjson: cannot open %s for append\n",
                  path_.c_str());
     return;
   }
-  std::fwrite(doc.data(), 1, doc.size(), f);
+  std::fwrite(line.data(), 1, line.size(), f);
   std::fclose(f);
   written_ = true;
 }

@@ -2,31 +2,14 @@
 
 #include <algorithm>
 #include <memory>
-#include <sstream>
 #include <unordered_map>
+#include <utility>
 
 #include "common/error.hpp"
+#include "common/json.hpp"
 
 namespace bladed::prove {
 namespace {
-
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    if (c == '"' || c == '\\') out.push_back('\\');
-    if (c == '\n') {
-      out += "\\n";
-      continue;
-    }
-    out.push_back(c);
-  }
-  return out;
-}
-
-void append_interval(std::ostringstream& os, const check::Interval& iv) {
-  os << "\"lo\":" << iv.lo << ",\"hi\":" << iv.hi;
-}
 
 /// Shared range check for license_translation and the engine hook.
 bool range_licensed(const ProveResult& res, std::size_t begin, std::size_t end,
@@ -138,67 +121,70 @@ ProveResult prove_program(const cms::Program& prog, std::size_t mem_doubles) {
 }
 
 std::string to_json(const ProveResult& res, const std::string& name) {
-  std::ostringstream os;
-  os << "{\"schema\":\"bladed-prove-v1\",\"program\":\"" << json_escape(name)
-     << "\",\"mem_doubles\":" << res.mem_doubles << ",\"valid\":"
-     << (res.valid ? "true" : "false");
-  if (!res.valid) {
-    os << ",\"error\":\"" << json_escape(res.error) << "\"}";
-    return os.str();
-  }
+  Json doc = Json::object();
+  doc.set("schema", "bladed-prove-v1")
+      .set("program", name)
+      .set("mem_doubles", res.mem_doubles)
+      .set("valid", res.valid);
+  if (!res.valid) return doc.set("error", res.error).dump();
 
-  os << ",\"accesses\":[";
-  for (std::size_t i = 0; i < res.accesses.size(); ++i) {
-    const AccessProof& a = res.accesses[i];
-    if (i != 0) os << ",";
-    os << "{\"pc\":" << a.pc << ",\"kind\":\""
-       << (a.is_store ? "store" : "load") << "\",\"proof\":\""
-       << to_string(a.kind) << "\",";
+  Json accesses = Json::array();
+  for (const AccessProof& a : res.accesses) {
+    Json j = Json::object();
+    j.set("pc", a.pc)
+        .set("kind", a.is_store ? "store" : "load")
+        .set("proof", to_string(a.kind));
     if (a.kind != ProofKind::kUnproven) {
-      append_interval(os, a.addr);
-      os << ",";
+      j.set("lo", a.addr.lo).set("hi", a.addr.hi);
     }
-    os << "\"detail\":\"" << json_escape(a.detail) << "\"}";
+    j.set("detail", a.detail);
+    accesses.push(std::move(j));
   }
 
-  os << "],\"alias_pairs\":[";
-  for (std::size_t i = 0; i < res.aliases.size(); ++i) {
-    const AliasFact& f = res.aliases[i];
-    if (i != 0) os << ",";
-    os << "{\"a\":" << f.pc_a << ",\"b\":" << f.pc_b << ",\"verdict\":\""
-       << to_string(f.result.verdict) << "\",\"universal\":"
-       << (f.result.universal ? "true" : "false") << ",\"reason\":\""
-       << f.result.reason << "\"}";
+  Json aliases = Json::array();
+  for (const AliasFact& f : res.aliases) {
+    Json j = Json::object();
+    j.set("a", f.pc_a)
+        .set("b", f.pc_b)
+        .set("verdict", to_string(f.result.verdict))
+        .set("universal", f.result.universal)
+        .set("reason", f.result.reason);
+    aliases.push(std::move(j));
   }
 
-  os << "],\"regions\":[";
-  for (std::size_t i = 0; i < res.regions.size(); ++i) {
-    const RegionLicense& r = res.regions[i];
-    if (i != 0) os << ",";
-    os << "{\"entry_pc\":" << r.entry_pc << ",\"blocks\":[";
-    for (std::size_t j = 0; j < r.blocks.size(); ++j) {
-      if (j != 0) os << ",";
-      os << r.blocks[j];
-    }
-    os << "],\"instructions\":" << r.instr_count << ",\"loop\":"
-       << (r.is_loop ? "true" : "false") << ",\"max_trips\":" << r.max_trips
-       << ",\"licensed\":" << (r.licensed ? "true" : "false")
-       << ",\"accesses\":" << r.access_count << ",\"unproven\":[";
-    for (std::size_t j = 0; j < r.unproven_pcs.size(); ++j) {
-      if (j != 0) os << ",";
-      os << r.unproven_pcs[j];
-    }
-    os << "],\"no_alias_pairs\":" << r.no_alias_pairs
-       << ",\"must_alias_pairs\":" << r.must_alias_pairs
-       << ",\"may_alias_pairs\":" << r.may_alias_pairs << "}";
+  Json regions = Json::array();
+  for (const RegionLicense& r : res.regions) {
+    Json blocks = Json::array();
+    for (const std::size_t b : r.blocks) blocks.push(b);
+    Json unproven = Json::array();
+    for (const std::size_t pc : r.unproven_pcs) unproven.push(pc);
+    Json j = Json::object();
+    j.set("entry_pc", r.entry_pc)
+        .set("blocks", std::move(blocks))
+        .set("instructions", r.instr_count)
+        .set("loop", r.is_loop)
+        .set("max_trips", r.max_trips)
+        .set("licensed", r.licensed)
+        .set("accesses", r.access_count)
+        .set("unproven", std::move(unproven))
+        .set("no_alias_pairs", r.no_alias_pairs)
+        .set("must_alias_pairs", r.must_alias_pairs)
+        .set("may_alias_pairs", r.may_alias_pairs);
+    regions.push(std::move(j));
   }
 
-  os << "],\"summary\":{\"accesses\":" << res.access_count << ",\"proven\":"
-     << res.proven_count << ",\"proven_fraction\":" << res.proven_fraction
-     << ",\"regions\":" << res.regions.size() << ",\"licensed_regions\":"
-     << res.licensed_region_count << ",\"hot_coverage\":" << res.hot_coverage
-     << "}}";
-  return os.str();
+  Json summary = Json::object();
+  summary.set("accesses", res.access_count)
+      .set("proven", res.proven_count)
+      .set("proven_fraction", res.proven_fraction)
+      .set("regions", res.regions.size())
+      .set("licensed_regions", res.licensed_region_count)
+      .set("hot_coverage", res.hot_coverage);
+  return doc.set("accesses", std::move(accesses))
+      .set("alias_pairs", std::move(aliases))
+      .set("regions", std::move(regions))
+      .set("summary", std::move(summary))
+      .dump();
 }
 
 bool license_translation(const cms::Program& prog, std::size_t begin,

@@ -51,8 +51,8 @@ struct ProveResult {
 [[nodiscard]] ProveResult prove_program(const cms::Program& prog,
                                         std::size_t mem_doubles);
 
-/// bladed-prove-v1 JSON report for one program (hand-rolled serializer,
-/// matching the repo's other report emitters).
+/// bladed-prove-v1 JSON report for one program, serialized through
+/// common/json like every other report the repo emits.
 [[nodiscard]] std::string to_json(const ProveResult& result,
                                   const std::string& name);
 

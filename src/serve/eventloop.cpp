@@ -68,12 +68,13 @@ TcpListener::TcpListener(std::uint16_t port, int backlog) {
 }
 
 int TcpListener::accept_one() {
-  if (!fd_.valid()) return -1;
+  if (!fd_.valid()) return -EBADF;
   const int c = ::accept(fd_.get(), nullptr, nullptr);
-  if (c < 0) return -1;
+  if (c < 0) return -errno;
   if (!set_nonblocking(c)) {
+    const int err = errno;
     ::close(c);
-    return -1;
+    return -err;
   }
   const int one = 1;
   ::setsockopt(c, IPPROTO_TCP, TCP_NODELAY, &one, sizeof one);

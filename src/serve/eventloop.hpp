@@ -50,8 +50,9 @@ class TcpListener {
   [[nodiscard]] int fd() const { return fd_.get(); }
   [[nodiscard]] std::uint16_t port() const { return port_; }
 
-  /// Accept one connection, already non-blocking. Returns -1 when the
-  /// queue is empty (EAGAIN) or on a transient per-connection error.
+  /// Accept one connection, already non-blocking. Returns the fd, or
+  /// -errno on failure: -EAGAIN when the queue is empty, -EMFILE etc. when
+  /// the process is out of descriptors.
   [[nodiscard]] int accept_one();
 
   void close() { fd_.reset(); }

@@ -33,6 +33,15 @@ using Clock = std::chrono::steady_clock;
 
 constexpr Clock::time_point kNever = Clock::time_point::max();
 
+/// How long the listener sits out after accept() fails for lack of
+/// descriptors or memory. The failed connection stays queued, so polling
+/// the listener again at once would return at once, in a loop.
+constexpr std::chrono::milliseconds kAcceptBackoff{100};
+
+[[nodiscard]] bool out_of_resources(int err) {
+  return err == EMFILE || err == ENFILE || err == ENOBUFS || err == ENOMEM;
+}
+
 #ifndef POLLRDHUP
 #define BLADED_POLLRDHUP 0
 #else
@@ -119,7 +128,8 @@ void Server::loop() {
     ids.clear();
     pfds.push_back({wakeup_.read_fd(), POLLIN, 0});
     int listener_idx = -1;
-    if (listener_.open() && conns_.size() < opt_.max_connections) {
+    if (listener_.open() && conns_.size() < opt_.max_connections &&
+        now >= accept_resume_) {
       listener_idx = static_cast<int>(pfds.size());
       pfds.push_back({listener_.fd(), POLLIN, 0});
     }
@@ -143,6 +153,9 @@ void Server::loop() {
       if (c.st != Conn::St::kBusy) next_expiry = std::min(next_expiry, c.expires);
     }
     if (draining_) next_expiry = std::min(next_expiry, drain_deadline_);
+    if (now < accept_resume_) {
+      next_expiry = std::min(next_expiry, accept_resume_);
+    }
 
     int timeout_ms = 250;
     if (next_expiry != kNever) {
@@ -206,7 +219,14 @@ void Server::accept_new() {
   for (;;) {
     if (conns_.size() >= opt_.max_connections) return;
     const int fd = listener_.accept_one();
-    if (fd < 0) return;
+    if (fd == -EAGAIN || fd == -EWOULDBLOCK || fd == -EINTR) return;
+    if (fd < 0) {
+      bump(&ServerStats::accept_errors);
+      if (out_of_resources(-fd)) {
+        accept_resume_ = Clock::now() + kAcceptBackoff;
+      }
+      return;
+    }
     const std::uint64_t id = next_conn_id_++;
     auto [it, ok] = conns_.emplace(id, Conn(Fd(fd), opt_.http));
     it->second.expires = Clock::now() + secs(opt_.idle_timeout_seconds);
@@ -543,6 +563,7 @@ void Server::finish_write(std::uint64_t id, Conn& c) {
 
 void Server::drop_conn(std::uint64_t id, bool count_drop) {
   conns_.erase(id);
+  accept_resume_ = {};  // a descriptor came free: accept again at once
   if (count_drop) bump(&ServerStats::connections_dropped);
 }
 
@@ -688,6 +709,7 @@ Json Server::stats_json() {
   Json j = Json::object();
   j.set("connections_accepted", s.connections_accepted)
       .set("connections_dropped", s.connections_dropped)
+      .set("accept_errors", s.accept_errors)
       .set("requests", s.requests)
       .set("parse_errors", s.parse_errors)
       .set("bad_requests", s.bad_requests)

@@ -28,10 +28,10 @@
 #include <unordered_map>
 #include <vector>
 
+#include "common/json.hpp"
 #include "hostperf/jobs.hpp"
 #include "serve/eventloop.hpp"
 #include "serve/http.hpp"
-#include "serve/json.hpp"
 #include "serve/sim.hpp"
 
 namespace bladed::serve {
@@ -63,6 +63,7 @@ struct ServerOptions {
 struct ServerStats {
   std::uint64_t connections_accepted = 0;
   std::uint64_t connections_dropped = 0;  ///< peer vanished / hard close
+  std::uint64_t accept_errors = 0;        ///< failed accept() (EMFILE, ...)
   std::uint64_t requests = 0;             ///< complete HTTP requests parsed
   std::uint64_t parse_errors = 0;         ///< HTTP-level 4xx/5xx at parse
   std::uint64_t bad_requests = 0;         ///< JSON/schema 400s
@@ -206,6 +207,9 @@ class Server {
 
   std::unordered_map<std::uint64_t, Conn> conns_;
   std::uint64_t next_conn_id_ = 1;
+  /// The listener stays out of the poll set until this time (or until a
+  /// connection closes) after accept() ran out of descriptors or memory.
+  Clock::time_point accept_resume_{};
   std::unordered_map<std::uint64_t, PendingJob> pending_;
   std::unordered_map<std::uint64_t, std::uint64_t> running_by_hash_;
   std::uint64_t next_job_id_ = 1;

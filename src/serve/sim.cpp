@@ -345,17 +345,15 @@ namespace {
   out.result.set("program", req.program)
       .set("opt_level", static_cast<double>(req.opt_level))
       .set("steps", static_cast<double>(req.steps))
-      .set("total_cycles", static_cast<double>(total.total_cycles))
-      .set("interpret_cycles", static_cast<double>(total.interpret_cycles))
-      .set("translate_cycles", static_cast<double>(total.translate_cycles))
-      .set("native_cycles", static_cast<double>(total.native_cycles))
-      .set("translations", static_cast<double>(total.translations))
+      .set("total_cycles", total.total_cycles)
+      .set("interpret_cycles", total.interpret_cycles)
+      .set("translate_cycles", total.translate_cycles)
+      .set("native_cycles", total.native_cycles)
+      .set("translations", total.translations)
       .set("elapsed_seconds", out.virtual_seconds);
   if (cert.bounded) {
-    out.result.set("certified_upper_cycles",
-                   static_cast<double>(cert.upper_cycles))
-        .set("certified_lower_cycles",
-             static_cast<double>(cert.lower_cycles));
+    out.result.set("certified_upper_cycles", cert.upper_cycles)
+        .set("certified_lower_cycles", cert.lower_cycles);
   }
   return out;
 }
@@ -450,10 +448,8 @@ SimOutcome approximate_simulation(const SimRequest& req) {
         .set("model", "wcet-certificate");
     if (cert.bounded) {
       out.result.set("elapsed_seconds", cert.upper_seconds)
-          .set("certified_upper_cycles",
-               static_cast<double>(cert.upper_cycles))
-          .set("certified_lower_cycles",
-               static_cast<double>(cert.lower_cycles));
+          .set("certified_upper_cycles", cert.upper_cycles)
+          .set("certified_lower_cycles", cert.lower_cycles);
     }
     return out;
   }

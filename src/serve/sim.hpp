@@ -12,7 +12,7 @@
 #include <optional>
 #include <string>
 
-#include "serve/json.hpp"
+#include "common/json.hpp"
 
 namespace bladed::serve {
 

@@ -5,6 +5,7 @@
 #include <map>
 #include <queue>
 #include <sstream>
+#include <utility>
 
 #include "check/cfg.hpp"
 #include "check/dominators.hpp"
@@ -97,21 +98,8 @@ std::vector<std::size_t> reverse_post_order(const check::Cfg& cfg) {
   return order;
 }
 
-void append_u64(std::ostringstream& os, std::uint64_t v) {
-  if (v == kSat) {
-    os << "\"saturated\"";
-  } else {
-    os << v;
-  }
-}
-
-std::string escape(const std::string& s) {
-  std::string out;
-  for (const char c : s) {
-    if (c == '"' || c == '\\') out.push_back('\\');
-    out.push_back(c);
-  }
-  return out;
+Json bound_json(std::uint64_t v) {
+  return v == kSat ? Json("saturated") : Json(v);
 }
 
 }  // namespace
@@ -361,38 +349,36 @@ std::string Certificate::to_string() const {
   return os.str();
 }
 
-std::string Certificate::to_json() const {
-  std::ostringstream os;
-  os << "{\"valid\":" << (valid ? "true" : "false");
+Json Certificate::to_json() const {
+  Json j = Json::object();
+  j.set("valid", valid);
   if (!valid) {
-    os << ",\"error\":\"" << escape(error) << "\"}";
-    return os.str();
+    j.set("error", error);
+    return j;
   }
-  os << ",\"bounded\":" << (bounded ? "true" : "false");
+  j.set("bounded", bounded);
   if (!bounded) {
-    os << ",\"unbounded\":[";
-    for (std::size_t i = 0; i < unbounded.size(); ++i) {
-      if (i != 0) os << ",";
-      os << "{\"pc\":" << unbounded[i].pc << ",\"reason\":\""
-         << escape(unbounded[i].reason) << "\"}";
+    Json sites = Json::array();
+    for (const UnboundedSite& s : unbounded) {
+      Json site = Json::object();
+      site.set("pc", s.pc).set("reason", s.reason);
+      sites.push(std::move(site));
     }
-    os << "]}";
-    return os.str();
+    j.set("unbounded", std::move(sites));
+    return j;
   }
-  os << ",\"eviction_free\":" << (eviction_free ? "true" : "false")
-     << ",\"entries\":" << entries.size() << ",\"tiers\":{";
-  const std::pair<const char*, const TierBounds*> tiers[] = {
-      {"interpret", &interpret}, {"tier2", &tier2}, {"tier3", &tier3}};
-  for (std::size_t i = 0; i < 3; ++i) {
-    if (i != 0) os << ",";
-    os << "\"" << tiers[i].first << "\":{\"lower\":";
-    append_u64(os, tiers[i].second->lower);
-    os << ",\"upper\":";
-    append_u64(os, tiers[i].second->upper);
-    os << "}";
+  Json tiers = Json::object();
+  for (const auto& [name, b] : {std::pair{"interpret", &interpret},
+                                std::pair{"tier2", &tier2},
+                                std::pair{"tier3", &tier3}}) {
+    Json t = Json::object();
+    t.set("lower", bound_json(b->lower)).set("upper", bound_json(b->upper));
+    tiers.set(name, std::move(t));
   }
-  os << "}}";
-  return os.str();
+  j.set("eviction_free", eviction_free)
+      .set("entries", entries.size())
+      .set("tiers", std::move(tiers));
+  return j;
 }
 
 }  // namespace bladed::wcet

@@ -32,6 +32,7 @@
 
 #include "cms/engine.hpp"
 #include "cms/isa.hpp"
+#include "common/json.hpp"
 
 namespace bladed::wcet {
 
@@ -107,9 +108,10 @@ struct Certificate {
   [[nodiscard]] const TierBounds& for_tier(Tier t) const;
   /// Human-readable one-program summary (bladed-lint --wcet).
   [[nodiscard]] std::string to_string() const;
-  /// JSON object (no trailing newline); bladed-lint composes the
-  /// bladed-wcet-v1 envelope around one object per corpus program.
-  [[nodiscard]] std::string to_json() const;
+  /// JSON object; bladed-lint composes the bladed-wcet-v1 envelope around
+  /// one object per corpus program. Bounds are exact integers, or the
+  /// string "saturated" when a bound overflowed uint64.
+  [[nodiscard]] Json to_json() const;
 };
 
 /// Certify `prog` on a machine with `mem_doubles` cells under `costs`.

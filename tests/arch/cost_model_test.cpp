@@ -2,10 +2,20 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 #include "arch/registry.hpp"
 #include "common/error.hpp"
 
 namespace bladed::arch {
+
+// gtest's fallback printer dumps a param's raw bytes, which for a
+// ProcessorModel include heap addresses; ctest registers the printed value
+// in each EveryProcessorTest name, so print something stable instead.
+void PrintTo(const ProcessorModel& m, std::ostream* os) {
+  *os << m.short_name;
+}
+
 namespace {
 
 KernelProfile balanced_kernel() {

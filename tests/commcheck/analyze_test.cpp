@@ -6,12 +6,14 @@
 
 #include "commcheck/analyze.hpp"
 #include "commcheck/fixtures.hpp"
+#include "common/json.hpp"
 
 namespace {
 
 using namespace bladed;
 using commcheck::analyze;
 using commcheck::Verdict;
+using bladed::Json;
 
 TEST(AnalyzeTest, DeadlockCycleNamesRanksAndOps) {
   const Verdict v = analyze(commcheck::deadlock_trace());
@@ -89,6 +91,19 @@ TEST(AnalyzeTest, JsonVerdictIsMachineReadable) {
             std::string::npos);
   const Verdict clean = analyze(commcheck::clean_trace());
   EXPECT_EQ(clean.to_json(), "{\"clean\":true,\"findings\":[]}");
+}
+
+TEST(AnalyzeTest, HostileFindingMessageRoundTrips) {
+  const std::string hostile =
+      std::string("q\"b\\s\nn\tt") + '\x01' + "end";
+  Verdict v;
+  v.add("orphan-send", hostile, {2, 0});
+  const Json doc = Json::parse(v.to_json());
+  EXPECT_FALSE(doc.get("clean").as_bool());
+  const Json& f = doc.get("findings").as_array().at(0);
+  EXPECT_EQ(f.get("code").as_string(), "orphan-send");
+  EXPECT_EQ(f.get("message").as_string(), hostile);
+  EXPECT_EQ(f.get("ranks").dump(), "[0,2]");
 }
 
 TEST(AnalyzeTest, EmptyTraceIsClean) {

@@ -1,14 +1,16 @@
-/// Strict-JSON tests: everything bladed-serve turns into a 400 must throw
-/// JsonError here (with a sane byte offset), and everything it serializes
-/// must round-trip bit-for-bit.
+/// Strict-JSON tests for common/json: everything bladed-serve turns into a
+/// 400 must throw JsonError here (with a sane byte offset), and everything
+/// the repo serializes must round-trip bit-for-bit.
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <limits>
 #include <string>
 
-#include "serve/json.hpp"
+#include "common/json.hpp"
 
-namespace bladed::serve {
+namespace bladed {
 namespace {
 
 TEST(Json, ParsesScalars) {
@@ -104,6 +106,26 @@ TEST(Json, IntegralNumbersPrintWithoutFraction) {
   EXPECT_EQ(v.dump(), R"({"n":12345,"f":0.5})");
 }
 
+TEST(Json, IntegersDumpTheirExactValue) {
+  // 2^53 + 1 has no double; a certified cycle bound built from it must not
+  // print as 2^53, which would sit below the true bound.
+  EXPECT_EQ(Json(std::uint64_t{(1ULL << 53) + 1}).dump(), "9007199254740993");
+  EXPECT_EQ(Json(std::numeric_limits<std::uint64_t>::max()).dump(),
+            "18446744073709551615");
+  EXPECT_EQ(Json(std::numeric_limits<std::int64_t>::min()).dump(),
+            "-9223372036854775808");
+  EXPECT_EQ(Json(std::numeric_limits<std::int64_t>::max()).dump(),
+            "9223372036854775807");
+  EXPECT_EQ(Json(-7).dump(), "-7");
+  // as_number() still answers the nearest double.
+  EXPECT_EQ(Json(std::uint64_t{(1ULL << 53) + 1}).as_number(), 0x1p53);
+  // Doubles keep %.17g (and integral doubles below 2^53 print bare).
+  EXPECT_EQ(Json(1e300).dump(), "1.0000000000000001e+300");
+  EXPECT_EQ(Json(0.1).dump(), "0.10000000000000001");
+  EXPECT_EQ(Json(12.0).dump(), "12");
+  EXPECT_EQ(Json(9007199254740992.0).dump(), "9007199254740992");
+}
+
 TEST(Json, SetOverwritesAndPreservesInsertionOrder) {
   Json v = Json::object();
   v.set("z", 1).set("a", 2).set("z", 3);
@@ -127,4 +149,4 @@ TEST(Json, DuplicateKeysLastOneWinsOnGet) {
 }
 
 }  // namespace
-}  // namespace bladed::serve
+}  // namespace bladed

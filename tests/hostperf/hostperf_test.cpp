@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "arch/registry.hpp"
+#include "common/json.hpp"
 #include "hostperf/benchjson.hpp"
 #include "hostperf/hostperf.hpp"
 #include "npb/parallel.hpp"
@@ -102,6 +103,27 @@ TEST(BenchReport, WritesSchemaDocumentPerReport) {
   EXPECT_NE(lines[0].find("\"virtual_seconds\":12.5"), std::string::npos);
   EXPECT_NE(lines[0].find("\\\"quoted\\\""), std::string::npos);
   EXPECT_NE(lines[1].find("\"bench\":\"second_binary\""), std::string::npos);
+  std::remove(path.c_str());
+}
+
+TEST(BenchReport, HostileRowNameRoundTrips) {
+  // Quote, backslash, newline, tab and a raw control byte: the document
+  // must still parse and give the name back unchanged.
+  const std::string hostile =
+      std::string("q\"b\\s\nn\tt") + '\x01' + "end";
+  const std::string path =
+      testing::TempDir() + "/bladed_benchjson_hostile.jsonl";
+  std::remove(path.c_str());
+  {
+    hostperf::BenchReport report(path, "unit_bench", 1);
+    report.add({hostile, 0.1, 1.0, 2.0, 3.0});
+  }
+  std::ifstream in(path);
+  std::string line;
+  ASSERT_TRUE(std::getline(in, line));
+  const Json row = Json::parse(line).get("results").as_array().at(0);
+  EXPECT_EQ(row.get("name").as_string(), hostile);
+  EXPECT_EQ(row.get("wall_seconds").as_number(), 0.1);
   std::remove(path.c_str());
 }
 

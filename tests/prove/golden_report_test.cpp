@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include "cms/programs.hpp"
+#include "common/json.hpp"
 
 namespace bladed::prove {
 namespace {
@@ -97,6 +98,43 @@ TEST(Golden, InvalidProgramReportsNotThrows) {
   EXPECT_FALSE(res.error.empty());
   const std::string json = to_json(res, "bad");
   EXPECT_NE(json.find("\"valid\":false"), std::string::npos);
+}
+
+TEST(Golden, HostileStringsRoundTripThroughTheReport) {
+  const std::string hostile =
+      std::string("q\"b\\s\nn\tt") + '\x01' + "end";
+  ProveResult bad;
+  bad.error = hostile;
+  const Json invalid = Json::parse(to_json(bad, hostile));
+  EXPECT_EQ(invalid.get("program").as_string(), hostile);
+  EXPECT_FALSE(invalid.get("valid").as_bool());
+  EXPECT_EQ(invalid.get("error").as_string(), hostile);
+
+  ProveResult ok;
+  ok.valid = true;
+  AccessProof a;
+  a.pc = 3;
+  a.detail = hostile;
+  ok.accesses.push_back(a);
+  AliasFact f;
+  f.result.reason = hostile.c_str();
+  ok.aliases.push_back(f);
+  const Json valid = Json::parse(to_json(ok, "p"));
+  const Json& access = valid.get("accesses").as_array().at(0);
+  EXPECT_EQ(access.get("detail").as_string(), hostile);
+  const Json& alias = valid.get("alias_pairs").as_array().at(0);
+  EXPECT_EQ(alias.get("reason").as_string(), hostile);
+}
+
+TEST(Golden, ProveReportFractionsPrintAtFullPrecision) {
+  ProveResult res;
+  res.valid = true;
+  res.proven_fraction = 2.0 / 3.0;
+  res.hot_coverage = 0.1;
+  const Json doc = Json::parse(to_json(res, "p"));
+  const Json& summary = doc.get("summary");
+  EXPECT_EQ(summary.get("proven_fraction").as_number(), 2.0 / 3.0);
+  EXPECT_EQ(summary.get("hot_coverage").as_number(), 0.1);
 }
 
 TEST(Golden, LicenseTranslationRangeQueries) {

@@ -11,11 +11,16 @@
 
 #include <gtest/gtest.h>
 
+#include <poll.h>
+#include <sys/resource.h>
+#include <sys/wait.h>
 #include <unistd.h>
 
 #include <chrono>
+#include <csignal>
 #include <string>
 #include <thread>
+#include <vector>
 
 #include "serve/server.hpp"
 #include "test_client.hpp"
@@ -497,6 +502,130 @@ TEST(ServeCms, ProvablyOverDeadlineIs422BeforeAnyPoolSubmission) {
   EXPECT_EQ(s.rejected_over_deadline, 1u);
   EXPECT_EQ(s.admitted, 1u);
   EXPECT_EQ(s.internal_errors, 0u);
+}
+
+/// What the descriptor-starved server saw over its one-second window.
+struct StarvedReport {
+  std::uint64_t accepted = 0;
+  std::uint64_t accept_errors = 0;
+  double cpu_seconds = 0.0;
+};
+
+[[nodiscard]] double process_cpu_seconds() {
+  rusage ru{};
+  ::getrusage(RUSAGE_SELF, &ru);
+  const auto secs = [](const timeval& tv) {
+    return static_cast<double>(tv.tv_sec) +
+           static_cast<double>(tv.tv_usec) * 1e-6;
+  };
+  return secs(ru.ru_utime) + secs(ru.ru_stime);
+}
+
+/// Child side of the descriptor-exhaustion test (no gtest macros: this runs
+/// in a forked process). Runs a server under RLIMIT_NOFILE=32, reports its
+/// port, waits until the parent has queued its connections, then reports
+/// what one second of that backlog cost. Returns the child's exit code.
+int run_starved_server(int report_fd, int go_fd) {
+  rlimit lim{};
+  if (::getrlimit(RLIMIT_NOFILE, &lim) != 0) return 2;
+  lim.rlim_cur = 32;
+  if (::setrlimit(RLIMIT_NOFILE, &lim) != 0) return 2;
+  try {
+    Server server(small_pool());
+    server.start();
+    const std::uint16_t port = server.port();
+    if (::write(report_fd, &port, sizeof port) != sizeof port) return 3;
+    char go = 0;
+    if (::read(go_fd, &go, 1) != 1) return 4;
+    // Let the loop accept up to the limit before the window opens.
+    std::this_thread::sleep_for(std::chrono::milliseconds(200));
+    StarvedReport rep;
+    const std::uint64_t errors0 = server.stats().accept_errors;
+    const double cpu0 = process_cpu_seconds();
+    std::this_thread::sleep_for(std::chrono::seconds(1));
+    rep.cpu_seconds = process_cpu_seconds() - cpu0;
+    rep.accept_errors = server.stats().accept_errors - errors0;
+    rep.accepted = server.stats().connections_accepted;
+    if (::write(report_fd, &rep, sizeof rep) != sizeof rep) return 3;
+    server.stop();
+  } catch (...) {
+    return 5;
+  }
+  return 0;
+}
+
+/// Read exactly `n` bytes, giving up after `timeout_ms` without data.
+[[nodiscard]] bool read_exact(int fd, void* buf, std::size_t n,
+                              int timeout_ms) {
+  auto* p = static_cast<char*>(buf);
+  while (n > 0) {
+    pollfd pfd{fd, POLLIN, 0};
+    if (::poll(&pfd, 1, timeout_ms) != 1) return false;
+    const ssize_t got = ::read(fd, p, n);
+    if (got <= 0) return false;
+    p += got;
+    n -= static_cast<std::size_t>(got);
+  }
+  return true;
+}
+
+TEST(ServeAccept, DescriptorExhaustionBacksOffInsteadOfSpinning) {
+  // With the process out of descriptors, accept() fails with EMFILE and
+  // the pending connection stays queued, so a listener left in the poll
+  // set makes poll() return at once, forever: one core burnt, nothing
+  // counted. The server must count the failure and sit the listener out.
+  int up[2];
+  int down[2];
+  ASSERT_EQ(::pipe(up), 0);
+  ASSERT_EQ(::pipe(down), 0);
+  const pid_t pid = ::fork();
+  ASSERT_GE(pid, 0);
+  if (pid == 0) {
+    ::close(up[0]);
+    ::close(down[1]);
+    ::_exit(run_starved_server(up[1], down[0]));
+  }
+  ::close(up[1]);
+  ::close(down[0]);
+  const Fd from_child(up[0]);
+  Fd to_child(down[1]);
+  // Reap the child on every exit path, including a failed ASSERT.
+  struct Reaper {
+    pid_t pid;
+    ~Reaper() {
+      if (pid > 0) {
+        ::kill(pid, SIGKILL);
+        ::waitpid(pid, nullptr, 0);
+      }
+    }
+  } reaper{pid};
+
+  std::uint16_t port = 0;
+  ASSERT_TRUE(read_exact(from_child.get(), &port, sizeof port, 10000));
+  std::vector<Fd> clients;
+  for (int i = 0; i < 60; ++i) {
+    Fd c(dial(port));
+    ASSERT_TRUE(c.valid()) << "connect " << i;
+    clients.push_back(std::move(c));
+  }
+  const char go = 1;
+  ASSERT_EQ(::write(to_child.get(), &go, 1), 1);
+  StarvedReport rep;
+  ASSERT_TRUE(read_exact(from_child.get(), &rep, sizeof rep, 10000));
+  clients.clear();
+  to_child.reset();
+  int status = 0;
+  ASSERT_EQ(::waitpid(pid, &status, 0), pid);
+  reaper.pid = 0;
+  ASSERT_TRUE(WIFEXITED(status));
+  EXPECT_EQ(WEXITSTATUS(status), 0);
+
+  EXPECT_GT(rep.accepted, 0u);
+  EXPECT_LT(rep.accepted, 32u);  // the limit held: some clients wait
+  // About one retry per back-off: tens per second, not tens of thousands.
+  EXPECT_GE(rep.accept_errors, 1u);
+  EXPECT_LE(rep.accept_errors, 100u);
+  EXPECT_LT(rep.cpu_seconds, 0.5);
 }
 
 }  // namespace

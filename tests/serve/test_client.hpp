@@ -16,7 +16,7 @@
 #include <string>
 #include <string_view>
 
-#include "serve/json.hpp"
+#include "common/json.hpp"
 
 namespace bladed::serve::testing {
 

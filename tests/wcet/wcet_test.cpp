@@ -156,10 +156,45 @@ TEST(WcetCertify, InvalidProgramReportsErrorNotCrash) {
 TEST(WcetCertify, JsonMentionsSchemaFields) {
   const cms::NamedProgram& entry = corpus_entry("naive_daxpy_n256");
   const Certificate cert = certify(entry.program, entry.mem_doubles);
-  const std::string json = cert.to_json();
+  const std::string json = cert.to_json().dump();
   EXPECT_NE(json.find("\"bounded\":true"), std::string::npos) << json;
   EXPECT_NE(json.find("\"tiers\""), std::string::npos) << json;
   EXPECT_NE(json.find("\"interpret\""), std::string::npos) << json;
+}
+
+TEST(WcetCertify, HostileStringsRoundTripThroughTheJson) {
+  const std::string hostile =
+      std::string("q\"b\\s\nn\tt") + '\x01' + "end";
+  Certificate invalid;
+  invalid.error = hostile;
+  EXPECT_EQ(Json::parse(invalid.to_json().dump()).get("error").as_string(),
+            hostile);
+
+  Certificate unbounded;
+  unbounded.valid = true;
+  unbounded.unbounded.push_back({7, hostile});
+  const Json doc = Json::parse(unbounded.to_json().dump());
+  EXPECT_FALSE(doc.get("bounded").as_bool());
+  const Json& site = doc.get("unbounded").as_array().at(0);
+  EXPECT_EQ(site.get("pc").as_number(), 7.0);
+  EXPECT_EQ(site.get("reason").as_string(), hostile);
+}
+
+TEST(WcetCertify, JsonBoundsAreExactIntegers) {
+  // A bound of 2^53 + 1 cycles has no double; printing the nearest one
+  // would put the certified upper bound below the true bound.
+  Certificate cert;
+  cert.valid = true;
+  cert.bounded = true;
+  cert.tier2 = {1, (1ULL << 53) + 1};
+  cert.tier3 = {2, std::numeric_limits<std::uint64_t>::max()};
+  const std::string json = cert.to_json().dump();
+  EXPECT_NE(json.find(R"("tier2":{"lower":1,"upper":9007199254740993})"),
+            std::string::npos)
+      << json;
+  EXPECT_NE(json.find(R"("tier3":{"lower":2,"upper":"saturated"})"),
+            std::string::npos)
+      << json;
 }
 
 /// The opt cost gate: a pass that increases the certified upper bound is

@@ -43,10 +43,12 @@
 #include <cstring>
 #include <iostream>
 #include <string>
+#include <utility>
 
 #include "check/check.hpp"
 #include "check/differential.hpp"
 #include "cms/programs.hpp"
+#include "common/json.hpp"
 #include "common/rng.hpp"
 #include "jit/jit.hpp"
 #include "opt/opt.hpp"
@@ -305,7 +307,7 @@ int run_jit(bool verbose, std::size_t mem_override) {
 int run_wcet(bool verbose, std::size_t mem_override, bool json) {
   bool errors = false;
   std::size_t unbounded = 0;
-  std::string rows;
+  Json programs = Json::array();
   for (const cms::NamedProgram& entry : cms::prove_corpus()) {
     const std::size_t mem =
         mem_override != 0 ? mem_override : entry.mem_doubles;
@@ -327,16 +329,17 @@ int run_wcet(bool verbose, std::size_t mem_override, bool json) {
       }
     }
     if (json) {
-      if (!rows.empty()) rows += ",";
-      rows += "{\"name\":\"" + entry.name +
-              "\",\"certificate\":" + cert.to_json() + "}";
+      Json row = Json::object();
+      row.set("name", entry.name).set("certificate", cert.to_json());
+      programs.push(std::move(row));
     }
   }
   if (json) {
     // JSON mode keeps stdout a single parseable envelope; the verdict is
     // the exit code (and the envelope's per-program bounded flags).
-    std::cout << "{\"schema\":\"bladed-wcet-v1\",\"programs\":[" << rows
-              << "]}\n";
+    Json doc = Json::object();
+    doc.set("schema", "bladed-wcet-v1").set("programs", std::move(programs));
+    std::cout << doc.dump() << "\n";
     if (errors) return kExitErrors;
     return unbounded != 0 ? kExitUnproven : kExitClean;
   }

@@ -8,7 +8,7 @@
 #include <cstdio>
 
 #include "cli.hpp"
-#include "serve/json.hpp"
+#include "common/json.hpp"
 #include "serve/loadgen.hpp"
 
 namespace {
@@ -73,7 +73,7 @@ int main(int argc, char** argv) {
   try {
     const bladed::serve::LoadReport r = bladed::serve::run_load(opt);
     if (json) {
-      bladed::serve::Json j = bladed::serve::Json::object();
+      bladed::Json j = bladed::Json::object();
       j.set("sent", r.sent)
           .set("completed", r.completed)
           .set("ok", r.ok)
