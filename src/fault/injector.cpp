@@ -11,6 +11,7 @@ FaultStats& FaultStats::operator+=(const FaultStats& o) {
   corruptions += o.corruptions;
   crc_rejects += o.crc_rejects;
   messages_lost += o.messages_lost;
+  bytes_lost += o.bytes_lost;
   crashes += o.crashes;
   hangs += o.hangs;
   delays += o.delays;

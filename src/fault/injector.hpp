@@ -23,6 +23,7 @@ struct FaultStats {
   std::uint64_t corruptions = 0;     ///< payloads corrupted in flight
   std::uint64_t crc_rejects = 0;     ///< corruptions caught by CRC32 framing
   std::uint64_t messages_lost = 0;   ///< gave up after max_attempts
+  std::uint64_t bytes_lost = 0;      ///< payload bytes of those messages
   std::uint64_t crashes = 0;         ///< nodes that died
   std::uint64_t hangs = 0;           ///< hang windows a node stalled through
   std::uint64_t delays = 0;          ///< messages given extra transit delay

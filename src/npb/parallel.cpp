@@ -7,6 +7,7 @@
 #include "common/error.hpp"
 #include "common/npb_rand.hpp"
 #include "common/rng.hpp"
+#include "npb/parallel_internal.hpp"
 #include "simnet/comm.hpp"
 
 namespace bladed::npb {
@@ -32,6 +33,66 @@ arch::KernelProfile is_chars(const OpCounter& ops) {
 }
 
 }  // namespace
+
+void detail::rank_keys(simnet::Comm& comm,
+                       const std::vector<std::uint32_t>& keys,
+                       std::vector<std::uint32_t>& counts,
+                       std::vector<std::uint32_t>& rank_of) {
+  std::fill(counts.begin(), counts.end(), 0u);
+  for (std::uint32_t k : keys) ++counts[k];
+
+  // Every rank learns everyone's histogram; the views share one buffer per
+  // source rank across the whole cluster.
+  const auto all_counts = comm.allgather(counts);
+
+  // offset[b] = keys below bucket b on any rank + keys in bucket b on lower
+  // ranks. One streaming pass per histogram sums the columns, snapshotting
+  // the partial sums on reaching this rank; an exclusive prefix over the
+  // column totals then adds the global bucket bases. Every sum is at most
+  // the key count, which ranks are stored in, so 32 bits hold it.
+  const std::size_t bmax = counts.size();
+  std::vector<std::uint32_t> total(bmax, 0);
+  std::vector<std::uint32_t> offset;
+  for (int rr = 0; rr < comm.size(); ++rr) {
+    if (rr == comm.rank()) offset = total;
+    const simnet::Block<std::uint32_t>& h =
+        all_counts[static_cast<std::size_t>(rr)];
+    BLADED_REQUIRE(h.size() == bmax);
+    for (std::size_t b = 0; b < bmax; ++b) total[b] += h[b];
+  }
+  std::uint32_t base = 0;
+  for (std::size_t b = 0; b < bmax; ++b) {
+    offset[b] += base;
+    base += total[b];
+  }
+  for (std::size_t i = 0; i < keys.size(); ++i) rank_of[i] = offset[keys[i]]++;
+}
+
+void detail::verify_ranking(
+    const std::vector<std::vector<std::uint32_t>>& keys,
+    const std::vector<std::vector<std::uint32_t>>& ranks,
+    ParallelIsResult& res) {
+  const std::uint64_t n = res.keys;
+  std::vector<std::uint32_t> sorted(n);
+  std::vector<std::uint8_t> hit(n, 0);
+  std::uint64_t fnv = 14695981039346656037ULL;
+  bool perm = true;
+  for (std::size_t r = 0; r < keys.size() && perm; ++r) {
+    for (std::size_t i = 0; i < keys[r].size(); ++i) {
+      const std::uint32_t rk = ranks[r][i];
+      if (rk >= n || hit[rk]) {
+        perm = false;
+        break;
+      }
+      hit[rk] = 1;
+      sorted[rk] = keys[r][i];
+      fnv = (fnv ^ rk) * 1099511628211ULL;
+    }
+  }
+  res.ranks_are_permutation = perm;
+  res.globally_sorted = perm && std::is_sorted(sorted.begin(), sorted.end());
+  res.rank_checksum = fnv;
+}
 
 ParallelEpResult run_parallel_ep(const ParallelNpbConfig& cfg, int m,
                                  std::uint64_t seed) {
@@ -139,26 +200,7 @@ ParallelIsResult run_parallel_is(const ParallelNpbConfig& cfg, int n_log2,
             static_cast<std::uint32_t>(bmax - static_cast<std::uint64_t>(iter));
       }
 
-      // Local bucket counts.
-      std::fill(counts.begin(), counts.end(), 0u);
-      for (std::uint32_t k : keys) ++counts[k];
-
-      // Exchange counts: every rank learns everyone's histogram.
-      const auto all_counts = comm.allgather(counts);
-
-      // Global base of each bucket + this rank's offset within it.
-      std::vector<std::uint64_t> offset(bmax);
-      std::uint64_t running = 0;
-      for (std::uint64_t b = 0; b < bmax; ++b) {
-        offset[b] = running;
-        for (int rr = 0; rr < comm.size(); ++rr) {
-          if (rr < r) offset[b] += all_counts[static_cast<std::size_t>(rr)][b];
-          running += all_counts[static_cast<std::size_t>(rr)][b];
-        }
-      }
-      for (std::size_t i = 0; i < mine; ++i) {
-        rank_of[i] = static_cast<std::uint32_t>(offset[keys[i]]++);
-      }
+      detail::rank_keys(comm, keys, counts, rank_of);
 
       OpCounter per_iter;
       per_iter.iop = 3 * mine + 2 * bmax * (1 + nranks);
@@ -172,25 +214,7 @@ ParallelIsResult run_parallel_is(const ParallelNpbConfig& cfg, int n_log2,
     comm.barrier();
   });
 
-  // Verification (outside the simulation): scatter all keys by their global
-  // ranks; the result must be a sorted permutation.
-  std::vector<std::uint32_t> sorted(n);
-  std::vector<std::uint8_t> hit(n, 0);
-  bool perm = true;
-  for (int r = 0; r < cfg.ranks && perm; ++r) {
-    for (std::size_t i = 0; i < final_keys[r].size(); ++i) {
-      const std::uint32_t rk = final_ranks[r][i];
-      if (rk >= n || hit[rk]) {
-        perm = false;
-        break;
-      }
-      hit[rk] = 1;
-      sorted[rk] = final_keys[r][i];
-    }
-  }
-  res.ranks_are_permutation = perm;
-  res.globally_sorted =
-      perm && std::is_sorted(sorted.begin(), sorted.end());
+  detail::verify_ranking(final_keys, final_ranks, res);
   res.elapsed_seconds = cluster.elapsed_seconds();
   for (int r = 0; r < cfg.ranks; ++r) {
     res.compute_seconds =

@@ -53,6 +53,8 @@ struct ParallelIsResult {
   std::uint64_t keys = 0;
   bool globally_sorted = false;
   bool ranks_are_permutation = false;
+  /// FNV-1a over every key's final global rank, ranks in rank order.
+  std::uint64_t rank_checksum = 0;
   double elapsed_seconds = 0.0;
   double compute_seconds = 0.0;
   std::uint64_t bytes = 0;

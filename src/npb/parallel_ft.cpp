@@ -8,6 +8,7 @@
 #include "common/npb_rand.hpp"
 #include "fault/checkpoint.hpp"
 #include "npb/parallel.hpp"
+#include "npb/parallel_internal.hpp"
 #include "simnet/cluster.hpp"
 #include "simnet/comm.hpp"
 
@@ -261,24 +262,7 @@ ParallelIsFtResult run_parallel_is_ft(const NpbFaultConfig& cfg, int n_log2,
                 bmax - static_cast<std::uint64_t>(iter));
           }
 
-          std::fill(counts.begin(), counts.end(), 0u);
-          for (std::uint32_t k : keys) ++counts[k];
-          const auto all_counts = comm.allgather(counts);
-
-          std::vector<std::uint64_t> offset(bmax);
-          std::uint64_t running = 0;
-          for (std::uint64_t b = 0; b < bmax; ++b) {
-            offset[b] = running;
-            for (int rr = 0; rr < comm.size(); ++rr) {
-              if (rr < r) {
-                offset[b] += all_counts[static_cast<std::size_t>(rr)][b];
-              }
-              running += all_counts[static_cast<std::size_t>(rr)][b];
-            }
-          }
-          for (std::size_t i = 0; i < mine; ++i) {
-            rank_of[i] = static_cast<std::uint32_t>(offset[keys[i]]++);
-          }
+          detail::rank_keys(comm, keys, counts, rank_of);
 
           OpCounter per_iter;
           per_iter.iop = 3 * mine + 2 * bmax * (1 + nr);
@@ -317,25 +301,7 @@ ParallelIsFtResult run_parallel_is_ft(const NpbFaultConfig& cfg, int n_log2,
     absorb_success(out.ft, cluster, consumed);
     out.ft.checkpoints = ckpt_count.load();
 
-    std::vector<std::uint32_t> sorted(n);
-    std::vector<std::uint8_t> hit(n, 0);
-    bool perm = true;
-    for (int r = 0; r < nranks && perm; ++r) {
-      const auto& fk = final_keys[static_cast<std::size_t>(r)];
-      const auto& fr = final_ranks[static_cast<std::size_t>(r)];
-      for (std::size_t i = 0; i < fk.size(); ++i) {
-        const std::uint32_t rk = fr[i];
-        if (rk >= n || hit[rk]) {
-          perm = false;
-          break;
-        }
-        hit[rk] = 1;
-        sorted[rk] = fk[i];
-      }
-    }
-    out.is.ranks_are_permutation = perm;
-    out.is.globally_sorted =
-        perm && std::is_sorted(sorted.begin(), sorted.end());
+    detail::verify_ranking(final_keys, final_ranks, out.is);
     out.is.elapsed_seconds = cluster.elapsed_seconds();
     for (int r = 0; r < nranks; ++r) {
       out.is.compute_seconds = std::max(out.is.compute_seconds,

@@ -1,6 +1,7 @@
 #include "serve/server.hpp"
 
 #include <poll.h>
+#include <sys/resource.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -42,6 +43,28 @@ constexpr std::chrono::milliseconds kAcceptBackoff{100};
   return err == EMFILE || err == ENFILE || err == ENOBUFS || err == ENOMEM;
 }
 
+/// Descriptors the server holds besides its connections: stdin, stdout,
+/// stderr, the listener and both ends of the wake-up pipe.
+constexpr std::size_t kOwnDescriptors = 6;
+
+/// `wanted` connections, or fewer when the descriptor limit leaves no room
+/// for that many. Connections beyond the limit could only fail in accept().
+[[nodiscard]] std::size_t clamp_to_fd_limit(std::size_t wanted) {
+  rlimit lim{};
+  if (::getrlimit(RLIMIT_NOFILE, &lim) != 0 || lim.rlim_cur == RLIM_INFINITY) {
+    return wanted;
+  }
+  const std::size_t room =
+      lim.rlim_cur > kOwnDescriptors + 1 ? lim.rlim_cur - kOwnDescriptors : 1;
+  if (wanted <= room) return wanted;
+  std::fprintf(stderr,
+               "bladed-serve: max connections %zu clamped to %zu "
+               "(RLIMIT_NOFILE %llu less %zu descriptors of its own)\n",
+               wanted, room, static_cast<unsigned long long>(lim.rlim_cur),
+               kOwnDescriptors);
+  return room;
+}
+
 #ifndef POLLRDHUP
 #define BLADED_POLLRDHUP 0
 #else
@@ -53,7 +76,9 @@ constexpr std::chrono::milliseconds kAcceptBackoff{100};
 Server::Server(ServerOptions opt)
     : opt_(opt),
       listener_(opt.port),
-      pool_({.threads = opt.workers, .queue_capacity = opt.queue_capacity}) {}
+      pool_({.threads = opt.workers, .queue_capacity = opt.queue_capacity}) {
+  opt_.max_connections = clamp_to_fd_limit(opt_.max_connections);
+}
 
 Server::~Server() {
   stop();

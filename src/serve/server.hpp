@@ -92,6 +92,12 @@ class Server {
   Server& operator=(const Server&) = delete;
 
   [[nodiscard]] std::uint16_t port() const { return listener_.port(); }
+  /// Connection cap in force: ServerOptions::max_connections, clamped at
+  /// construction to what RLIMIT_NOFILE leaves after the server's own
+  /// descriptors (a line on stderr says so when the clamp fires).
+  [[nodiscard]] std::size_t max_connections() const {
+    return opt_.max_connections;
+  }
 
   /// Run the event loop on the calling thread until a drain completes.
   void run();

@@ -495,6 +495,10 @@ void Cluster::run(const std::function<void(Comm&)>& program) {
 
   for (auto& r : ranks_) {
     if (r->thread.joinable()) r->thread.join();
+    for (const Message& m : r->mailbox) {
+      ++r->stats.messages_left;
+      r->stats.bytes_left += m.payload.size();
+    }
   }
   if (impl_->error) {
     if (recorder_) recorder_->mark_aborted();
@@ -545,9 +549,9 @@ void Cluster::op_compute(int r, double seconds) {
   leave_op(r, lk);
 }
 
-void Cluster::deliver(int src, int dst, int tag,
-                      std::vector<std::byte> payload, double send_time,
-                      double available_at, std::size_t send_event) {
+void Cluster::deliver(int src, int dst, int tag, Payload payload,
+                      double send_time, double available_at,
+                      std::size_t send_event) {
   if (record_trace_) {
     trace_.push_back(
         {send_time, available_at, src, dst, tag, payload.size()});
@@ -571,7 +575,7 @@ void Cluster::deliver(int src, int dst, int tag,
   }
 }
 
-void Cluster::ft_send(int r, int dst, int tag, std::vector<std::byte> payload,
+void Cluster::ft_send(int r, int dst, int tag, Payload payload,
                       double depart, std::size_t send_event) {
   using Action = fault::ExecutedFault::Action;
   const fault::TransportPolicy& pol = injector_.policy();
@@ -604,7 +608,10 @@ void Cluster::ft_send(int r, int dst, int tag, std::vector<std::byte> payload,
       continue;
     }
     if (fate.corrupted) {
-      std::vector<std::byte> damaged = payload;
+      // Flip bits in a private copy: the payload may be shared with other
+      // receivers (a forwarded collective buffer) and is never written.
+      std::vector<std::byte> damaged(payload.data(),
+                                     payload.data() + payload.size());
       injector_.corrupt_payload(damaged, id, attempt);
       ++fault_stats_.corruptions;
       if (fault::crc32_of(damaged) != crc) {
@@ -617,18 +624,19 @@ void Cluster::ft_send(int r, int dst, int tag, std::vector<std::byte> payload,
         continue;
       }
       // CRC collision (astronomically unlikely): delivered damaged.
-      deliver(r, dst, tag, std::move(damaged), depart, available, send_event);
+      deliver(r, dst, tag, Payload::copy_of(damaged), depart, available,
+              send_event);
       return;
     }
     deliver(r, dst, tag, std::move(payload), depart, available, send_event);
     return;
   }
   ++fault_stats_.messages_lost;
+  fault_stats_.bytes_lost += payload.size();
   fault_trace_.push_back({t, Action::kLost, r, dst, pol.max_attempts});
 }
 
-void Cluster::op_send(int r, int dst, int tag,
-                      std::vector<std::byte> payload) {
+void Cluster::op_send(int r, int dst, int tag, Payload payload) {
   BLADED_REQUIRE_MSG(dst >= 0 && dst < ranks(),
                      "Comm::send destination rank " + std::to_string(dst) +
                          " out of range [0," + std::to_string(ranks()) + ")");
@@ -672,7 +680,7 @@ void Cluster::op_send(int r, int dst, int tag,
   leave_op(r, lk);
 }
 
-std::optional<std::vector<std::byte>> Cluster::op_recv(
+std::optional<Payload> Cluster::op_recv(
     int r, int src, int tag, double timeout, bool timeout_throws,
     std::uint64_t elem_bytes, std::uint64_t elems) {
   BLADED_REQUIRE_MSG(
@@ -739,7 +747,9 @@ std::optional<std::vector<std::byte>> Cluster::op_recv(
       }
       me.set_now(me.now() + o);
       me.stats.comm_seconds += o;
-      std::vector<std::byte> payload = std::move(it->payload);
+      Payload payload = std::move(it->payload);
+      ++me.stats.messages_received;
+      me.stats.bytes_received += payload.size();
       if (recorder_) {
         recorder_->on_recv_match(r, recv_event, it->src, it->send_event,
                                  payload.size(), me.now());

@@ -40,6 +40,7 @@
 #include "fault/injector.hpp"
 #include "mc/shim.hpp"
 #include "simnet/network.hpp"
+#include "simnet/payload.hpp"
 
 namespace bladed::commcheck {
 class Recorder;
@@ -69,6 +70,13 @@ struct RankStats {
   double comm_seconds = 0.0;     ///< overheads + time blocked waiting
   std::uint64_t bytes_sent = 0;
   std::uint64_t messages_sent = 0;
+  std::uint64_t bytes_received = 0;     ///< payload bytes Comm recv matched
+  std::uint64_t messages_received = 0;  ///< messages Comm recv matched
+  /// Delivered to this rank's mailbox but never received (set when run()
+  /// ends). Conservation: summed over ranks, sent = received + left +
+  /// fault_stats().messages_lost, for messages and for bytes.
+  std::uint64_t bytes_left = 0;
+  std::uint64_t messages_left = 0;
   double finish_time = 0.0;  ///< virtual clock when the program returned
 };
 
@@ -156,7 +164,7 @@ class Cluster {
   struct Message {
     int src = 0;
     int tag = 0;
-    std::vector<std::byte> payload;
+    Payload payload;
     double available_at = 0.0;
     /// Index of the sender's commcheck send event (clock join on match).
     std::size_t send_event = static_cast<std::size_t>(-1);
@@ -180,12 +188,12 @@ class Cluster {
   // Operations invoked by Comm on the owning rank's thread; all take the
   // engine lock internally.
   void op_compute(int r, double seconds);
-  void op_send(int r, int dst, int tag, std::vector<std::byte> payload);
+  void op_send(int r, int dst, int tag, Payload payload);
   /// Blocking receive. `timeout` < 0 uses the transport policy's default;
   /// 0 waits forever. On expiry: throws RecvTimeoutError when
   /// `timeout_throws`, else returns nullopt. `elem_bytes`/`elems` describe
   /// the caller's typed expectation for the commcheck recorder (0 = none).
-  std::optional<std::vector<std::byte>> op_recv(
+  std::optional<Payload> op_recv(
       int r, int src, int tag, double timeout = -1.0,
       bool timeout_throws = true, std::uint64_t elem_bytes = 0,
       std::uint64_t elems = 0);
@@ -228,9 +236,9 @@ class Cluster {
   // Fault machinery (engine lock held).
   void apply_hang_and_crash(int r);
   [[noreturn]] void die(int r, double at);
-  void ft_send(int r, int dst, int tag, std::vector<std::byte> payload,
-               double depart, std::size_t send_event);
-  void deliver(int r, int dst, int tag, std::vector<std::byte> payload,
+  void ft_send(int r, int dst, int tag, Payload payload, double depart,
+               std::size_t send_event);
+  void deliver(int r, int dst, int tag, Payload payload,
                double send_time, double available_at, std::size_t send_event);
 
   std::unique_ptr<ClusterImpl> impl_;

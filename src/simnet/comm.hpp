@@ -7,10 +7,17 @@
 /// collectives are built from point-to-point messages (binomial trees, rings,
 /// pairwise exchange) so their cost emerges from the network model rather
 /// than being asserted.
+///
+/// Every send encodes its data once into an immutable Payload
+/// (simnet/payload.hpp) and every typed receive decodes once. Collectives
+/// that relay data (the bcast tree, the allgather ring) forward the payload
+/// they received, and allgather hands back read-only Block views of those
+/// payloads, so all ranks read one copy of each contribution.
 
 #include <cstring>
 #include <exception>
 #include <optional>
+#include <span>
 #include <string>
 #include <type_traits>
 #include <vector>
@@ -35,20 +42,21 @@ class Comm {
 
   // --- point-to-point -----------------------------------------------------
 
-  void send_bytes(int dst, int tag, std::vector<std::byte> payload) {
-    cluster_.op_send(rank_, dst, tag, std::move(payload));
+  /// Copy `bytes` into a new payload and send it; the caller's buffer is
+  /// free to change as soon as this returns.
+  void send_bytes(int dst, int tag, std::span<const std::byte> bytes) {
+    send_payload(dst, tag, Payload::copy_of(bytes));
   }
   /// Blocking receive; src may be kAnySource. With fault injection enabled
   /// this can throw RecvTimeoutError (transport-policy receive timeout) or
   /// PeerFailureError (the failure detector declared the peer dead).
-  std::vector<std::byte> recv_bytes(int src, int tag) {
-    return recv_bytes_typed(src, tag, 0, 0);
+  Payload recv_bytes(int src, int tag) {
+    return recv_payload(src, tag, 0, 0);
   }
 
   /// Receive with an explicit timeout (virtual seconds); returns nullopt on
   /// expiry instead of throwing. `timeout` <= 0 waits forever.
-  std::optional<std::vector<std::byte>> recv_bytes_for(int src, int tag,
-                                                       double timeout) {
+  std::optional<Payload> recv_bytes_for(int src, int tag, double timeout) {
     return cluster_.op_recv(rank_, src, tag, timeout > 0.0 ? timeout : 0.0,
                             /*timeout_throws=*/false);
   }
@@ -56,59 +64,39 @@ class Comm {
   template <class T>
     requires std::is_trivially_copyable_v<T>
   void send(int dst, int tag, const std::vector<T>& v) {
-    std::vector<std::byte> bytes(v.size() * sizeof(T));
-    std::memcpy(bytes.data(), v.data(), bytes.size());
-    send_bytes(dst, tag, std::move(bytes));
+    send_bytes(dst, tag, std::as_bytes(std::span(v)));
   }
 
   template <class T>
     requires std::is_trivially_copyable_v<T>
   std::vector<T> recv(int src, int tag) {
-    std::vector<std::byte> bytes = recv_bytes_typed(src, tag, sizeof(T), 0);
-    BLADED_REQUIRE_MSG(
-        bytes.size() % sizeof(T) == 0,
-        "Comm::recv payload size mismatch: src=" + src_name(src) +
-            " dst=" + std::to_string(rank_) + " tag=" + std::to_string(tag) +
-            ": " + std::to_string(bytes.size()) +
-            " bytes is not a multiple of element size " +
-            std::to_string(sizeof(T)));
-    std::vector<T> v(bytes.size() / sizeof(T));
-    std::memcpy(v.data(), bytes.data(), bytes.size());
-    return v;
+    const Block<T> b = as_block<T>(recv_payload(src, tag, sizeof(T), 0),
+                                   "Comm::recv", src, tag);
+    return std::vector<T>(b.begin(), b.end());
   }
 
   /// Timed typed receive; nullopt on expiry. `timeout` <= 0 waits forever.
   template <class T>
     requires std::is_trivially_copyable_v<T>
   std::optional<std::vector<T>> recv_for(int src, int tag, double timeout) {
-    std::optional<std::vector<std::byte>> bytes =
+    std::optional<Payload> p =
         cluster_.op_recv(rank_, src, tag, timeout > 0.0 ? timeout : 0.0,
                          /*timeout_throws=*/false, sizeof(T), 0);
-    if (!bytes) return std::nullopt;
-    BLADED_REQUIRE_MSG(
-        bytes->size() % sizeof(T) == 0,
-        "Comm::recv_for payload size mismatch: src=" + src_name(src) +
-            " dst=" + std::to_string(rank_) + " tag=" + std::to_string(tag) +
-            ": " + std::to_string(bytes->size()) +
-            " bytes is not a multiple of element size " +
-            std::to_string(sizeof(T)));
-    std::vector<T> v(bytes->size() / sizeof(T));
-    std::memcpy(v.data(), bytes->data(), bytes->size());
-    return v;
+    if (!p) return std::nullopt;
+    const Block<T> b = as_block<T>(std::move(*p), "Comm::recv_for", src, tag);
+    return std::vector<T>(b.begin(), b.end());
   }
 
   template <class T>
     requires std::is_trivially_copyable_v<T>
   void send_value(int dst, int tag, const T& value) {
-    std::vector<std::byte> bytes(sizeof(T));
-    std::memcpy(bytes.data(), &value, sizeof(T));
-    send_bytes(dst, tag, std::move(bytes));
+    send_bytes(dst, tag, std::as_bytes(std::span(&value, 1)));
   }
 
   template <class T>
     requires std::is_trivially_copyable_v<T>
   T recv_value(int src, int tag) {
-    std::vector<std::byte> bytes = recv_bytes_typed(src, tag, sizeof(T), 1);
+    const Payload bytes = recv_payload(src, tag, sizeof(T), 1);
     BLADED_REQUIRE_MSG(
         bytes.size() == sizeof(T),
         "Comm::recv_value payload size mismatch: src=" + src_name(src) +
@@ -130,8 +118,10 @@ class Comm {
 
   void barrier() { cluster_.op_barrier(rank_); }
 
-  /// Binomial-tree broadcast of a vector from `root`.
+  /// Binomial-tree broadcast of a vector from `root`. The root encodes once;
+  /// every other rank forwards the payload it received to its children.
   template <class T>
+    requires std::is_trivially_copyable_v<T>
   std::vector<T> bcast(std::vector<T> v, int root) {
     const CollectiveScope scope(*this, commcheck::CollectiveKind::kBcast,
                                 root, v.size());
@@ -142,21 +132,23 @@ class Comm {
     const int rel = (rank() - root + n) % n;
     int rounds = 0;
     while ((1 << rounds) < n) ++rounds;
+    int first_child = 0;  // tree round of this rank's first child
+    Block<T> got;
     if (rel != 0) {
       int hb = 0;
       while ((1 << (hb + 1)) <= rel) ++hb;
       const int parent = (rel - (1 << hb) + root) % n;
-      v = recv<T>(parent, tag);
-      for (int k = hb + 1; k < rounds; ++k) {
-        const int child = rel + (1 << k);
-        if (child < n) send((child + root) % n, tag, v);
-      }
+      got = as_block<T>(recv_payload(parent, tag, sizeof(T), 0), "Comm::recv",
+                        parent, tag);
+      first_child = hb + 1;
     } else {
-      for (int k = 0; k < rounds; ++k) {
-        const int child = 1 << k;
-        if (child < n) send((child + root) % n, tag, v);
-      }
+      got = Block<T>(Payload::copy_of(std::as_bytes(std::span(v))));
     }
+    for (int k = first_child; k < rounds; ++k) {
+      const int child = rel + (1 << k);
+      if (child < n) send_payload((child + root) % n, tag, got.payload());
+    }
+    if (rel != 0) v.assign(got.begin(), got.end());
     return v;
   }
 
@@ -223,23 +215,27 @@ class Comm {
     return bcast(std::move(v), 0);
   }
 
-  /// Ring allgather: returns the concatenation of every rank's vector in
-  /// rank order (ranks may contribute different lengths).
+  /// Ring allgather: returns every rank's vector in rank order (ranks may
+  /// contribute different lengths) as read-only views. Each step forwards
+  /// the payload received the step before, so the block of rank s is one
+  /// buffer that every rank's view shares, and it outlives the run.
   template <class T>
-  std::vector<std::vector<T>> allgather(const std::vector<T>& mine) {
+    requires std::is_trivially_copyable_v<T>
+  std::vector<Block<T>> allgather(const std::vector<T>& mine) {
     const CollectiveScope scope(*this, commcheck::CollectiveKind::kAllgather,
                                 -1, mine.size());
     const int tag = next_tag();
     const int n = size();
-    std::vector<std::vector<T>> all(n);
-    all[rank()] = mine;
+    std::vector<Block<T>> all(n);
+    all[rank()] = Block<T>(Payload::copy_of(std::as_bytes(std::span(mine))));
     const int right = (rank() + 1) % n;
     const int left = (rank() - 1 + n) % n;
     int have = rank();  // the block we forward this step
     for (int step = 0; step < n - 1; ++step) {
-      send(right, tag, all[have]);
+      send_payload(right, tag, all[have].payload());
       const int incoming = (have - 1 + n) % n;
-      all[incoming] = recv<T>(left, tag);
+      all[incoming] = as_block<T>(recv_payload(left, tag, sizeof(T), 0),
+                                  "Comm::recv", left, tag);
       have = incoming;
     }
     return all;
@@ -317,18 +313,36 @@ class Comm {
     int exceptions_;
   };
 
+  /// The one send path: every send, encoded or forwarded, ends here.
+  void send_payload(int dst, int tag, Payload payload) {
+    cluster_.op_send(rank_, dst, tag, std::move(payload));
+  }
+
   /// Shared blocking-receive core; `elem_bytes`/`elems` describe the typed
   /// wrapper's expectation for the commcheck recorder.
-  std::vector<std::byte> recv_bytes_typed(int src, int tag,
-                                          std::uint64_t elem_bytes,
-                                          std::uint64_t elems) {
-    std::optional<std::vector<std::byte>> got =
+  Payload recv_payload(int src, int tag, std::uint64_t elem_bytes,
+                       std::uint64_t elems) {
+    std::optional<Payload> got =
         cluster_.op_recv(rank_, src, tag, /*timeout=*/-1.0,
                          /*timeout_throws=*/true, elem_bytes, elems);
     BLADED_REQUIRE_MSG(got.has_value(),
                        "Comm::recv on rank " + std::to_string(rank_) +
                            ": engine returned no payload without throwing");
     return std::move(*got);
+  }
+
+  /// View a received payload as T elements; `op` names the caller in the
+  /// size-mismatch error.
+  template <class T>
+  Block<T> as_block(Payload p, const char* op, int src, int tag) const {
+    BLADED_REQUIRE_MSG(
+        p.size() % sizeof(T) == 0,
+        std::string(op) + " payload size mismatch: src=" + src_name(src) +
+            " dst=" + std::to_string(rank_) + " tag=" + std::to_string(tag) +
+            ": " + std::to_string(p.size()) +
+            " bytes is not a multiple of element size " +
+            std::to_string(sizeof(T)));
+    return Block<T>(std::move(p));
   }
 
   static std::string src_name(int src) {

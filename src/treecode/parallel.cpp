@@ -68,7 +68,7 @@ void evaluate_forces(simnet::Comm& comm, const ParallelConfig& cfg,
 
   // 1. Exchange bounding boxes (4 doubles each).
   const BoundingBox mybox = BoundingBox::containing(w.mine);
-  const std::vector<std::vector<double>> boxes = comm.allgather(
+  const auto boxes = comm.allgather(
       std::vector<double>{mybox.lo[0], mybox.lo[1], mybox.lo[2],
                           mybox.extent});
 

@@ -10,6 +10,8 @@
 #include "simnet/cluster.hpp"
 #include "simnet/comm.hpp"
 
+#include "../simnet/conservation.hpp"
+
 namespace bladed::simnet {
 namespace {
 
@@ -73,6 +75,8 @@ TEST(FtTransport, PersistentDropExhaustsAttemptsAndLosesTheMessage) {
     }
   });
   EXPECT_EQ(cluster.fault_stats().messages_lost, 1u);
+  EXPECT_EQ(cluster.fault_stats().bytes_lost, sizeof(int));
+  expect_conserved(cluster);
   EXPECT_EQ(cluster.fault_stats().drops,
             static_cast<std::uint64_t>(
                 cluster.fault_stats().retransmits + 1));
@@ -92,6 +96,7 @@ TEST(FtTransport, CorruptionIsCaughtByCrcAndRedelivered) {
   EXPECT_GE(cluster.fault_stats().corruptions, 1u);
   EXPECT_GE(cluster.fault_stats().crc_rejects, 1u);
   EXPECT_EQ(cluster.fault_stats().messages_lost, 0u);
+  expect_conserved(cluster);
 }
 
 TEST(FtTransport, TransientDelayWindowSlowsDelivery) {
@@ -267,6 +272,7 @@ TEST(FtTransport, FaultTraceIsBitIdenticalAcrossRuns) {
         comm.send_bytes(0, 2, std::vector<std::byte>(64));
       }
     });
+    expect_conserved(cluster);
     return std::pair(cluster.fault_trace(), cluster.elapsed_seconds());
   };
   const auto [trace1, t1] = experiment();
@@ -291,6 +297,7 @@ TEST(FtTransport, DifferentSeedsDiverge) {
         }
       }
     });
+    expect_conserved(cluster);
     return cluster.fault_trace();
   };
   EXPECT_NE(run_with_seed(1), run_with_seed(2));

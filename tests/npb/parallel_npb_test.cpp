@@ -99,6 +99,53 @@ TEST(ParallelIs, DeterministicAcrossRuns) {
   EXPECT_EQ(a.bytes, b.bytes);
 }
 
+// Exact figures of IS and the checkpointed IS-FT (a crash of the last rank
+// half way through forces one restart), recorded before the histogram
+// allgather returned shared views and the bucket prefix became one pass per
+// histogram. Every field is deterministic, so any change to the message
+// pattern, the charged ops or the ranking shows up here bit for bit.
+struct IsGolden {
+  int ranks;
+  double elapsed;
+  std::uint64_t messages, bytes;
+  double ft_elapsed;
+  std::uint64_t ft_messages, ft_bytes;
+  double ft_total;
+};
+
+constexpr std::uint64_t kIsGoldenRankChecksum = 0x23561dbed3941e0fULL;
+constexpr IsGolden kIsGolden[] = {
+    {1, 0x1.cc80cb833562ep-5, 0, 0, 0x1.cc80cb833562ep-5, 0, 0,
+     0x1.cc80cb833562ep-5},
+    {4, 0x1.cbbd2bcfb9d3fp-4, 120, 1973040, 0x1.1eba6aee00b1fp-4, 72,
+     1184688, 0x1.41d33ce8e0deap-1},
+    {7, 0x1.9f1b3013ac6bdp-3, 420, 6905640, 0x1.01e7f78253149p-3, 252,
+     4146408, 0x1.761db6e896122p-1},
+};
+
+TEST(ParallelIs, GoldenFieldsAreBitExact) {
+  for (const IsGolden& g : kIsGolden) {
+    const ParallelIsResult is = run_parallel_is(cfg(g.ranks), 16, 12, 10);
+    EXPECT_EQ(is.elapsed_seconds, g.elapsed) << g.ranks;
+    EXPECT_EQ(is.messages, g.messages) << g.ranks;
+    EXPECT_EQ(is.bytes, g.bytes) << g.ranks;
+    EXPECT_EQ(is.rank_checksum, kIsGoldenRankChecksum) << g.ranks;
+    EXPECT_TRUE(is.globally_sorted) << g.ranks;
+
+    NpbFaultConfig f;
+    f.base = cfg(g.ranks);
+    if (g.ranks > 1) f.schedule.crash(g.ranks - 1, 0.5 * is.elapsed_seconds);
+    const ParallelIsFtResult ft = run_parallel_is_ft(f, 16, 12, 10);
+    EXPECT_EQ(ft.ft.restarts, g.ranks > 1 ? 1 : 0) << g.ranks;
+    EXPECT_EQ(ft.is.elapsed_seconds, g.ft_elapsed) << g.ranks;
+    EXPECT_EQ(ft.is.messages, g.ft_messages) << g.ranks;
+    EXPECT_EQ(ft.is.bytes, g.ft_bytes) << g.ranks;
+    EXPECT_EQ(ft.ft.total_virtual_seconds, g.ft_total) << g.ranks;
+    EXPECT_EQ(ft.is.rank_checksum, kIsGoldenRankChecksum) << g.ranks;
+    EXPECT_TRUE(ft.is.globally_sorted) << g.ranks;
+  }
+}
+
 TEST(ParallelStencil, BitwiseIdenticalAcrossDecompositions) {
   // Jacobi reads only the previous iterate, so the slab decomposition must
   // not change a single bit: residuals and the z-ordered checksum are

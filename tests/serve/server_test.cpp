@@ -628,5 +628,52 @@ TEST(ServeAccept, DescriptorExhaustionBacksOffInsteadOfSpinning) {
   EXPECT_LT(rep.cpu_seconds, 0.5);
 }
 
+/// Child side of the clamp test: under RLIMIT_NOFILE=64, report the
+/// connection cap a server asking for 1024 gets, then one asking for 10.
+int run_clamped_servers(int report_fd) {
+  rlimit lim{};
+  if (::getrlimit(RLIMIT_NOFILE, &lim) != 0) return 2;
+  lim.rlim_cur = 64;
+  if (::setrlimit(RLIMIT_NOFILE, &lim) != 0) return 2;
+  try {
+    std::size_t caps[2] = {0, 0};
+    ServerOptions so = small_pool();
+    so.max_connections = 1024;
+    caps[0] = Server(so).max_connections();
+    so.max_connections = 10;
+    caps[1] = Server(so).max_connections();
+    if (::write(report_fd, caps, sizeof caps) != sizeof caps) return 3;
+  } catch (...) {
+    return 5;
+  }
+  return 0;
+}
+
+TEST(ServeAccept, MaxConnectionsIsClampedToTheDescriptorLimit) {
+  // 1024 connections cannot fit in 64 descriptors: the cap drops to the
+  // limit less the server's own six (stdio, listener, wake-up pipe), and a
+  // cap that fits is left alone.
+  int up[2];
+  ASSERT_EQ(::pipe(up), 0);
+  const pid_t pid = ::fork();
+  ASSERT_GE(pid, 0);
+  if (pid == 0) {
+    ::close(up[0]);
+    ::_exit(run_clamped_servers(up[1]));
+  }
+  ::close(up[1]);
+  const Fd from_child(up[0]);
+  std::size_t caps[2] = {0, 0};
+  const bool got = read_exact(from_child.get(), caps, sizeof caps, 10000);
+  int status = 0;
+  if (!got) ::kill(pid, SIGKILL);
+  ASSERT_EQ(::waitpid(pid, &status, 0), pid);
+  ASSERT_TRUE(got);
+  ASSERT_TRUE(WIFEXITED(status));
+  EXPECT_EQ(WEXITSTATUS(status), 0);
+  EXPECT_EQ(caps[0], 64u - 6u);
+  EXPECT_EQ(caps[1], 10u);
+}
+
 }  // namespace
 }  // namespace bladed::serve

@@ -7,6 +7,7 @@
 
 #include "common/error.hpp"
 #include "simnet/comm.hpp"
+#include "conservation.hpp"
 
 namespace bladed::simnet {
 namespace {
@@ -126,6 +127,7 @@ TEST(Cluster, DeadlockIsDetected) {
                  (void)comm.recv_value<int>(1 - comm.rank(), 0);
                }),
                SimulationError);
+  expect_conserved(cluster);
 }
 
 TEST(Cluster, UserExceptionPropagates) {
@@ -135,6 +137,27 @@ TEST(Cluster, UserExceptionPropagates) {
                  comm.barrier();
                }),
                std::runtime_error);
+  expect_conserved(cluster);
+}
+
+TEST(Cluster, UnreceivedMessagesStayCountedInTheMailbox) {
+  Cluster cluster(cfg(3));
+  cluster.run([](Comm& comm) {
+    if (comm.rank() == 0) {
+      comm.send_bytes(1, 1, std::vector<std::byte>(100));
+      comm.send_bytes(1, 2, std::vector<std::byte>(30));
+      comm.send_bytes(2, 1, std::vector<std::byte>(7));
+    } else if (comm.rank() == 1) {
+      (void)comm.recv_bytes(0, 2);
+    }
+  });
+  EXPECT_EQ(cluster.stats(1).messages_received, 1u);
+  EXPECT_EQ(cluster.stats(1).bytes_received, 30u);
+  EXPECT_EQ(cluster.stats(1).messages_left, 1u);
+  EXPECT_EQ(cluster.stats(1).bytes_left, 100u);
+  EXPECT_EQ(cluster.stats(2).messages_left, 1u);
+  EXPECT_EQ(cluster.stats(2).bytes_left, 7u);
+  expect_conserved(cluster);
 }
 
 TEST(Cluster, DeterministicAcrossRuns) {
@@ -151,6 +174,7 @@ TEST(Cluster, DeterministicAcrossRuns) {
                         std::vector<std::byte>(100 * comm.rank()));
       }
     });
+    expect_conserved(cluster);
     return cluster.elapsed_seconds();
   };
   const double t1 = experiment();
@@ -172,6 +196,8 @@ TEST(Cluster, ClusterIsReusableAndResets) {
   cluster.run(program);
   EXPECT_DOUBLE_EQ(cluster.elapsed_seconds(), t1);
   EXPECT_EQ(cluster.total_bytes(), bytes1);
+  EXPECT_EQ(cluster.stats(1).messages_received, 1u);  // reset, not summed
+  expect_conserved(cluster);
 }
 
 TEST(Cluster, BarrierSynchronizesClocks) {
@@ -283,6 +309,8 @@ TEST(Cluster, SelfSendLoopback) {
     EXPECT_DOUBLE_EQ(comm.recv_value<double>(0, 1), 3.25);
   });
   EXPECT_EQ(cluster.total_messages(), 0u);  // loopback avoids the network
+  EXPECT_EQ(cluster.stats(0).messages_received, 1u);
+  expect_conserved(cluster);
 }
 
 }  // namespace

@@ -3,6 +3,7 @@
 #include <numeric>
 
 #include "simnet/comm.hpp"
+#include "conservation.hpp"
 
 namespace bladed::simnet {
 namespace {
@@ -87,6 +88,31 @@ TEST_P(CollectivesTest, AllgatherPreservesRankOrderAndSizes) {
       for (int x : all[r]) EXPECT_EQ(x, r);
     }
   });
+  expect_conserved(cluster);
+}
+
+TEST_P(CollectivesTest, AllgatherBlocksAreSharedAndOutliveTheRun) {
+  // Every rank's view of rank s's block is the one buffer rank s encoded,
+  // forwarded around the ring, and it stays readable after the cluster is
+  // gone.
+  const int n = GetParam();
+  std::vector<std::vector<Block<double>>> got(static_cast<std::size_t>(n));
+  {
+    Cluster cluster(cfg(n));
+    cluster.run([&got](Comm& comm) {
+      const std::vector<double> mine(5, 1.5 * comm.rank());
+      got[static_cast<std::size_t>(comm.rank())] = comm.allgather(mine);
+    });
+    expect_conserved(cluster);
+  }
+  for (int r = 0; r < n; ++r) {
+    ASSERT_EQ(static_cast<int>(got[r].size()), n);
+    for (int s = 0; s < n; ++s) {
+      EXPECT_EQ(got[r][s].data(), got[0][s].data()) << r << " " << s;
+      ASSERT_EQ(got[r][s].size(), 5u);
+      for (double x : got[r][s]) EXPECT_EQ(x, 1.5 * s);
+    }
+  }
 }
 
 TEST_P(CollectivesTest, GatherAtRoot) {
@@ -155,6 +181,68 @@ TEST_P(CollectivesTest, BcastCostGrowsLogarithmically) {
   });
 
   EXPECT_LT(tree.elapsed_seconds(), 0.8 * star.elapsed_seconds());
+}
+
+TEST(Payload, SendCopiesTheSendersBuffer) {
+  // The payload is encoded at send time: rewriting the sender's buffer
+  // afterwards, while the message is still in flight, changes nothing.
+  Cluster cluster(cfg(2));
+  cluster.run([](Comm& comm) {
+    if (comm.rank() == 0) {
+      std::vector<int> v{1, 2, 3};
+      std::vector<std::byte> raw(4, std::byte{7});
+      comm.send(1, 5, v);
+      comm.send_bytes(1, 6, raw);
+      v.assign({9, 9, 9});
+      raw.assign(4, std::byte{0});
+      comm.send_value(1, 7, 0);  // received first: the edits came before
+    } else {
+      (void)comm.recv_value<int>(0, 7);
+      EXPECT_EQ(comm.recv<int>(0, 5), (std::vector<int>{1, 2, 3}));
+      const Payload raw = comm.recv_bytes(0, 6);
+      ASSERT_EQ(raw.size(), 4u);
+      for (std::size_t i = 0; i < raw.size(); ++i) {
+        EXPECT_EQ(raw.data()[i], std::byte{7});
+      }
+    }
+  });
+  expect_conserved(cluster);
+}
+
+TEST(Payload, CorruptionNeverReachesSharedBuffers) {
+  // Corrupt frames on every link early in the run: the transport flips
+  // bits in a private copy, the CRC rejects it and the resend carries the
+  // intact buffer, so every rank still sees clean allgather blocks (whose
+  // buffers the ring forwards) and clean broadcast data.
+  constexpr int kRanks = 6;
+  fault::FaultSchedule s;
+  s.corrupt(-1, -1, 0.0, 5e-3, 0.5);
+  Cluster::Config c = cfg(kRanks);
+  c.fault.enabled = true;
+  c.fault.schedule = s;
+  c.fault.seed = 7;
+  Cluster cluster(c);
+  cluster.run([](Comm& comm) {
+    const int n = comm.size();
+    std::vector<std::uint32_t> mine(64);
+    std::iota(mine.begin(), mine.end(), 1000u * comm.rank());
+    const auto all = comm.allgather(mine);
+    for (int r = 0; r < n; ++r) {
+      ASSERT_EQ(all[r].size(), mine.size());
+      for (std::size_t i = 0; i < mine.size(); ++i) {
+        EXPECT_EQ(all[r][i], 1000u * r + i) << "block " << r;
+      }
+    }
+    std::vector<double> v;
+    if (comm.rank() == 2) v.assign(32, 0.25);
+    v = comm.bcast(std::move(v), 2);
+    EXPECT_EQ(v, std::vector<double>(32, 0.25));
+  });
+  EXPECT_GE(cluster.fault_stats().corruptions, 1u);
+  EXPECT_EQ(cluster.fault_stats().crc_rejects,
+            cluster.fault_stats().corruptions);
+  EXPECT_EQ(cluster.fault_stats().messages_lost, 0u);
+  expect_conserved(cluster);
 }
 
 INSTANTIATE_TEST_SUITE_P(RankCounts, CollectivesTest,

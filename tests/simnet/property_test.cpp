@@ -7,6 +7,7 @@
 
 #include "common/rng.hpp"
 #include "simnet/comm.hpp"
+#include "conservation.hpp"
 
 namespace bladed::simnet {
 namespace {
@@ -53,6 +54,7 @@ double run_plan(const Plan& plan, int ranks, std::uint64_t* bytes_out,
       }
     }
   });
+  expect_conserved(cluster);
   if (bytes_out) *bytes_out = cluster.total_bytes();
   if (msgs_out) *msgs_out = cluster.total_messages();
   return cluster.elapsed_seconds();

@@ -188,6 +188,9 @@ int run_opt(bool verbose, std::size_t mem_override) {
 /// every region licensed, and the engine's region-prover gate must accept
 /// every block it translates.
 int run_prove(bool verbose, std::size_t mem_override, bool json) {
+  // Under --json stdout carries only the bladed-prove-v1 documents, one per
+  // line; the human report goes to stderr.
+  std::ostream& out = json ? std::cerr : std::cout;
   bool errors = false;
   std::size_t unproven = 0;
   for (const cms::NamedProgram& entry : cms::prove_corpus()) {
@@ -195,38 +198,38 @@ int run_prove(bool verbose, std::size_t mem_override, bool json) {
         mem_override != 0 ? mem_override : entry.mem_doubles;
     const prove::ProveResult res = prove::prove_program(entry.program, mem);
     if (!res.valid) {
-      std::cout << entry.name << ": INVALID — " << res.error << "\n";
+      out << entry.name << ": INVALID — " << res.error << "\n";
       errors = true;
       continue;
     }
     std::size_t licensed = res.licensed_region_count;
-    std::cout << entry.name << ": " << res.proven_count << "/"
-              << res.access_count << " accesses proven, " << licensed << "/"
-              << res.regions.size() << " regions licensed, hot coverage "
-              << 100.0 * res.hot_coverage << "%\n";
+    out << entry.name << ": " << res.proven_count << "/"
+        << res.access_count << " accesses proven, " << licensed << "/"
+        << res.regions.size() << " regions licensed, hot coverage "
+        << 100.0 * res.hot_coverage << "%\n";
     std::size_t entry_unproven = 0;
     for (const prove::AccessProof& a : res.accesses) {
       if (a.kind == prove::ProofKind::kUnproven) {
         ++entry_unproven;
-        std::cout << "  UNPROVEN " << (a.is_store ? "store" : "load")
-                  << " @" << a.pc << ": " << a.detail << "\n";
+        out << "  UNPROVEN " << (a.is_store ? "store" : "load")
+            << " @" << a.pc << ": " << a.detail << "\n";
       } else if (verbose) {
-        std::cout << "  proven " << (a.is_store ? "store" : "load") << " @"
-                  << a.pc << " [" << to_string(a.kind) << "]: " << a.detail
-                  << "\n";
+        out << "  proven " << (a.is_store ? "store" : "load") << " @"
+            << a.pc << " [" << to_string(a.kind) << "]: " << a.detail
+            << "\n";
       }
     }
     if (verbose) {
       for (const prove::RegionLicense& r : res.regions) {
-        std::cout << "  region @" << r.entry_pc << ": " << r.instr_count
-                  << " instrs, " << r.access_count << " accesses, "
-                  << (r.licensed ? "licensed" : "UNLICENSED")
-                  << (r.is_loop ? ", loop" : "")
-                  << (r.max_trips > 0
-                          ? " (<= " + std::to_string(r.max_trips) + " trips)"
-                          : "")
-                  << ", alias pairs no/must/may " << r.no_alias_pairs << "/"
-                  << r.must_alias_pairs << "/" << r.may_alias_pairs << "\n";
+        out << "  region @" << r.entry_pc << ": " << r.instr_count
+            << " instrs, " << r.access_count << " accesses, "
+            << (r.licensed ? "licensed" : "UNLICENSED")
+            << (r.is_loop ? ", loop" : "")
+            << (r.max_trips > 0
+                    ? " (<= " + std::to_string(r.max_trips) + " trips)"
+                    : "")
+            << ", alias pairs no/must/may " << r.no_alias_pairs << "/"
+            << r.must_alias_pairs << "/" << r.may_alias_pairs << "\n";
       }
     }
     if (json) std::cout << prove::to_json(res, entry.name) << "\n";
@@ -248,20 +251,20 @@ int run_prove(bool verbose, std::size_t mem_override, bool json) {
       for (double& cell : st.mem) cell = rng.uniform(-2.0, 2.0);
       (void)engine.run(entry.program, st);
     } catch (const std::exception& e) {
-      std::cout << "  ENGINE GATE REFUSED: " << e.what() << "\n";
+      out << "  ENGINE GATE REFUSED: " << e.what() << "\n";
       errors = true;
     }
   }
   if (errors) {
-    std::cout << "bladed-lint --prove: FAILED\n";
+    out << "bladed-lint --prove: FAILED\n";
     return kExitErrors;
   }
   if (unproven != 0) {
-    std::cout << "bladed-lint --prove: " << unproven
-              << " unproven access(es)\n";
+    out << "bladed-lint --prove: " << unproven
+        << " unproven access(es)\n";
     return kExitUnproven;
   }
-  std::cout << "bladed-lint --prove: corpus fully proven\n";
+  out << "bladed-lint --prove: corpus fully proven\n";
   return kExitClean;
 }
 
