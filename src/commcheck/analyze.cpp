@@ -10,6 +10,13 @@ namespace bladed::commcheck {
 
 namespace {
 
+/// A virtual time as the findings print it ("%.6g").
+std::string g6(double t) {
+  char buf[32];
+  std::snprintf(buf, sizeof buf, "%.6g", t);
+  return buf;
+}
+
 std::string src_name(int src) {
   return src == kAnySrc ? std::string("any") : std::to_string(src);
 }
@@ -280,15 +287,16 @@ void check_wildcard_races(const Trace& trace, Verdict& v) {
           // matched it; anything concurrent with the matched send could.
           if (happens_before(recv.clock, cand.clock)) continue;
           if (!concurrent(cand.clock, matched.clock)) continue;
-          char buf[192];
-          std::snprintf(
-              buf, sizeof buf,
-              "rank %d recv(src=any, tag=%d) at t=%.6g matched rank %d's "
-              "send, but rank %d's send (tag %d, t=%.6g) is concurrent "
-              "under happens-before — the match is schedule-dependent",
-              d, recv.tag, recv.time, recv.matched_src, q, cand.tag,
-              cand.time);
-          v.add("wildcard-race", buf, {d, recv.matched_src, q});
+          v.add("wildcard-race",
+                "rank " + std::to_string(d) + " recv(src=any, tag=" +
+                    std::to_string(recv.tag) + ") at t=" + g6(recv.time) +
+                    " matched rank " + std::to_string(recv.matched_src) +
+                    "'s send, but rank " + std::to_string(q) +
+                    "'s send (tag " + std::to_string(cand.tag) + ", t=" +
+                    g6(cand.time) +
+                    ") is concurrent under happens-before — the match is "
+                    "schedule-dependent",
+                {d, recv.matched_src, q});
         }
       }
     }

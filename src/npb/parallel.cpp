@@ -76,8 +76,13 @@ void detail::verify_ranking(
   std::vector<std::uint32_t> sorted(n);
   std::vector<std::uint8_t> hit(n, 0);
   std::uint64_t fnv = 14695981039346656037ULL;
-  bool perm = true;
+  std::uint64_t ranked = 0;
+  bool perm = ranks.size() == keys.size();
   for (std::size_t r = 0; r < keys.size() && perm; ++r) {
+    if (ranks[r].size() != keys[r].size()) {
+      perm = false;
+      break;
+    }
     for (std::size_t i = 0; i < keys[r].size(); ++i) {
       const std::uint32_t rk = ranks[r][i];
       if (rk >= n || hit[rk]) {
@@ -87,10 +92,14 @@ void detail::verify_ranking(
       hit[rk] = 1;
       sorted[rk] = keys[r][i];
       fnv = (fnv ^ rk) * 1099511628211ULL;
+      ++ranked;
     }
   }
-  res.ranks_are_permutation = perm;
-  res.globally_sorted = perm && std::is_sorted(sorted.begin(), sorted.end());
+  // Every key must have been ranked: a rank that never finished leaves its
+  // keys out, and the rest is then no permutation of the key set.
+  res.ranks_are_permutation = perm && ranked == n;
+  res.globally_sorted = res.ranks_are_permutation &&
+                        std::is_sorted(sorted.begin(), sorted.end());
   res.rank_checksum = fnv;
 }
 

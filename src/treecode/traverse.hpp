@@ -47,7 +47,9 @@ struct TraversalStats {
 /// Accelerations and potentials of particles [first, last) of `p` (in the
 /// tree's Morton order) due to the whole tree. Pass the full range for a
 /// serial evaluation. Accelerations are accumulated (call
-/// p.zero_accelerations() first).
+/// p.zero_accelerations() first). Each target's walk emits a source list
+/// that is then evaluated four entries at a time and summed in list order:
+/// the result is bit-identical to an entry-by-entry loop.
 TraversalStats compute_forces(ParticleSet& p, const Octree& tree,
                               const GravityParams& params,
                               std::size_t first, std::size_t last);

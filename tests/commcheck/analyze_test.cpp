@@ -61,6 +61,58 @@ TEST(AnalyzeTest, WildcardRaceIsFlaggedWithBothCandidates) {
   EXPECT_EQ(it->ranks, (std::vector<int>{0, 1, 2}));
 }
 
+// Wide rank, tag and time values: the finding text is about 230 bytes and
+// must arrive whole.
+TEST(AnalyzeTest, WildcardRaceMessageIsNotTruncated) {
+  using commcheck::CommEvent;
+  using commcheck::EventKind;
+  constexpr int kRanks = 100000;
+  constexpr int kRecv = 99999, kMatched = 99998, kRacer = 99997;
+  constexpr int kTag = -2147483647 - 1;
+  commcheck::Trace trace;
+  trace.ranks = kRanks;
+  trace.events.resize(kRanks);
+  auto send = [&](int rank, double time) {
+    CommEvent e;
+    e.kind = EventKind::kSend;
+    e.completed = true;
+    e.rank = rank;
+    e.peer = kRecv;
+    e.tag = kTag;
+    e.time = time;
+    e.clock.assign(kRanks, 0);
+    e.clock[rank] = 1;
+    trace.events[rank].push_back(e);
+  };
+  send(kMatched, -1.23456789e+300);
+  send(kRacer, -9.87654321e-300);
+  CommEvent recv;
+  recv.kind = EventKind::kRecv;
+  recv.completed = true;
+  recv.rank = kRecv;
+  recv.peer = commcheck::kAnySrc;
+  recv.matched_src = kMatched;
+  recv.matched_event = 0;
+  recv.tag = kTag;
+  recv.time = 1.11111111e+299;
+  recv.clock.assign(kRanks, 0);
+  recv.clock[kMatched] = 1;
+  recv.clock[kRecv] = 1;
+  trace.events[kRecv].push_back(recv);
+
+  const Verdict v = analyze(trace);
+  const auto& findings = v.findings();
+  const auto it =
+      std::find_if(findings.begin(), findings.end(),
+                   [](const auto& f) { return f.code == "wildcard-race"; });
+  ASSERT_NE(it, findings.end()) << v.to_string();
+  EXPECT_EQ(it->message,
+            "rank 99999 recv(src=any, tag=-2147483648) at t=1.11111e+299 "
+            "matched rank 99998's send, but rank 99997's send (tag "
+            "-2147483648, t=-9.87654e-300) is concurrent under "
+            "happens-before — the match is schedule-dependent");
+}
+
 TEST(AnalyzeTest, BcastRootDisagreementIsFlagged) {
   const Verdict v = analyze(commcheck::bcast_root_mismatch_trace());
   ASSERT_TRUE(v.has("collective-root")) << v.to_string();

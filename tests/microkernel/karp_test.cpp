@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <vector>
 
 #include "common/error.hpp"
 #include "common/rng.hpp"
@@ -106,6 +109,71 @@ TEST_P(KarpIterationSweep, ErrorShrinksQuadratically) {
 
 INSTANTIATE_TEST_SUITE_P(Iterations, KarpIterationSweep,
                          ::testing::Values(0, 1, 2, 3));
+
+/// The 4-lane kernel must reproduce the scalar one bit for bit on every
+/// lane, including the lanes that force the scalar fallback (subnormals).
+TEST(KarpRsqrt4, BitIdenticalToScalarOnTenMillionInputs) {
+  std::vector<double> xs;
+  // Every power of 2 (so every power of 4), normal and subnormal.
+  for (int e = -1074; e <= 1023; ++e) xs.push_back(std::ldexp(1.0, e));
+  // Each segment edge of the reduced range [1,4) and its neighbours, at
+  // both exponent parities and at the extremes of the exponent range.
+  for (int i = 0; i <= kKarpTableSegments; ++i) {
+    const double edge = 1.0 + i * (3.0 / kKarpTableSegments);
+    for (const double scale : {1.0, 0x1p-1000, 0x1p1000, 0x1p-1022, 0x1p1020}) {
+      for (const double m : {std::nextafter(edge, 0.0), edge,
+                             std::nextafter(edge, 8.0)}) {
+        xs.push_back(m * scale);
+        xs.push_back(m * scale * 0.5);
+      }
+    }
+  }
+  // Random bit patterns: positive normals over the whole exponent range,
+  // then subnormals (about one lane in 16), then ordinary r² magnitudes.
+  Rng rng(0x4b617270);
+  constexpr std::size_t kInputs = 10'000'000;
+  while (xs.size() < kInputs) {
+    const std::uint64_t bits = rng.next_u64();
+    switch (bits & 15) {
+      case 0:  // subnormal
+        xs.push_back(std::bit_cast<double>((bits >> 12) | 1));
+        break;
+      case 1:
+      case 2:
+        xs.push_back(rng.uniform(1e-8, 1e2));
+        break;
+      default: {
+        const std::uint64_t exponent = 1 + (bits >> 4) % 2046;
+        xs.push_back(std::bit_cast<double>(
+            (exponent << 52) | (rng.next_u64() >> 12)));
+      }
+    }
+  }
+  xs.resize(kInputs);
+  std::size_t mismatches = 0;
+  for (std::size_t i = 0; i < xs.size(); i += 4) {
+    const f64x4 x = {xs[i], xs[i + 1], xs[i + 2], xs[i + 3]};
+    f64x4 y;
+    karp_rsqrt4(x, y);
+    for (int k = 0; k < 4; ++k) {
+      const double want = karp_rsqrt(x[k]);
+      if (std::bit_cast<std::uint64_t>(static_cast<double>(y[k])) !=
+          std::bit_cast<std::uint64_t>(want)) {
+        if (++mismatches <= 10) {
+          ADD_FAILURE() << "lane " << k << " x=" << std::hexfloat << x[k]
+                        << " got " << y[k] << " want " << want;
+        }
+      }
+    }
+  }
+  EXPECT_EQ(mismatches, 0u);
+}
+
+TEST(KarpRsqrt4, ALaneOutsideTheDomainThrows) {
+  f64x4 y;
+  EXPECT_THROW(karp_rsqrt4(f64x4{1.0, 2.0, 0.0, 4.0}, y), PreconditionError);
+  EXPECT_THROW(karp_rsqrt4(f64x4{1.0, -2.0, 3.0, 4.0}, y), PreconditionError);
+}
 
 }  // namespace
 }  // namespace bladed::micro

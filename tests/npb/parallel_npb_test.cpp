@@ -6,6 +6,7 @@
 
 #include "arch/registry.hpp"
 #include "common/error.hpp"
+#include "npb/parallel_internal.hpp"
 
 namespace bladed::npb {
 namespace {
@@ -189,6 +190,31 @@ TEST(ParallelStencil, RejectsBadConfig) {
   EXPECT_THROW(run_parallel_stencil(cfg(4), 2, 1), PreconditionError);
   EXPECT_THROW(run_parallel_stencil(cfg(8), 16, 0), PreconditionError);
   EXPECT_THROW(run_parallel_stencil(cfg(32), 16, 1), PreconditionError);
+}
+
+// A ranking that misses keys (a rank that died before ranking its block)
+// verifies neither as a permutation nor as sorted.
+TEST(ParallelIs, VerificationRequiresEveryKeyRanked) {
+  const std::vector<std::vector<std::uint32_t>> keys = {{7, 3}, {5, 1}};
+  ParallelIsResult res;
+  res.keys = 4;
+  detail::verify_ranking(keys, {{3, 1}, {2, 0}}, res);
+  EXPECT_TRUE(res.ranks_are_permutation);
+  EXPECT_TRUE(res.globally_sorted);
+
+  constexpr std::uint64_t kFnvOffset = 14695981039346656037ULL;
+  detail::verify_ranking({{}, {}}, {{}, {}}, res);  // nothing ranked
+  EXPECT_FALSE(res.ranks_are_permutation);
+  EXPECT_FALSE(res.globally_sorted);
+  EXPECT_EQ(res.rank_checksum, kFnvOffset);
+
+  detail::verify_ranking({{7, 3}, {}}, {{3, 1}, {}}, res);  // rank 1 dead
+  EXPECT_FALSE(res.ranks_are_permutation);
+  EXPECT_FALSE(res.globally_sorted);
+
+  detail::verify_ranking(keys, {{3, 1}, {}}, res);  // rank 1 never ranked
+  EXPECT_FALSE(res.ranks_are_permutation);
+  EXPECT_FALSE(res.globally_sorted);
 }
 
 TEST(ParallelIs, RejectsBadConfig) {
